@@ -53,6 +53,7 @@ from .species import (
     chain,
     chain_unordered,
     count,
+    count_table,
     labeled_counts,
     r_closed_form,
     r_coefficient,
@@ -82,6 +83,7 @@ __all__ = [
     "chain_unordered",
     "count",
     "count_at_degree",
+    "count_table",
     "enumerate_rooted",
     "enumerate_unrooted",
     "fix_count",

@@ -1,8 +1,8 @@
 """Command-line front end: count tables, cycle-index expansions, unlabeled
 generating functions, and the oracle-vs-series verification report.
 
-Exit codes: 0 success, 1 internal mismatch (verification failure),
-2 usage or guard error.
+Exit codes: 0 success, 1 verification failure or internal error, 2 usage
+error or guard (an input the command line refuses as too large to finish).
 """
 
 from __future__ import annotations
@@ -38,10 +38,13 @@ _FAMILY_NAMES = (
 def _resolve_families(names: list[str], k: int) -> list[TanglegramFamily]:
     families = []
     for name in names:
-        if name in ("chain", "chain-unordered"):
-            families.append(TanglegramFamily(name, k))
-        else:
-            families.append(TanglegramFamily(name))
+        try:
+            if name in ("chain", "chain-unordered"):
+                families.append(TanglegramFamily(name, k))
+            else:
+                families.append(TanglegramFamily(name))
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
     # drop duplicates, keep command-line order
     seen: set[TanglegramFamily] = set()
     unique = []
@@ -114,40 +117,53 @@ def _emit(text: str, output: str | None) -> None:
 # -- subcommands ----------------------------------------------------------
 
 
+def _check_guard(option: str, value: int, limit: int, path: str) -> None:
+    if value > limit:
+        raise _UsageError(f"{option} {value} exceeds the {path} guard {limit}")
+
+
 def cmd_counts(args: argparse.Namespace) -> int:
     families = _resolve_families(args.family, args.k)
     max_n = args.max_n
     for fam in families:
         if max_n < fam.min_n:
             raise _UsageError(f"{fam.label} requires --max-n >= {fam.min_n}")
+        if fam.unrooted:
+            _check_guard("--max-n", max_n, species.SERIES_LIMIT, "series")
+        else:
+            _check_guard("--max-n", max_n, species.ROOTED_DP_LIMIT, "rooted")
     rows: Rows = []
     for fam in families:
-        for n in range(fam.min_n, max_n + 1):
-            rows.append((fam.label, n, species.count(fam, n, max_n)))
+        table = species.count_table(fam, max_n)
+        rows.extend((fam.label, n, table[n]) for n in range(fam.min_n, max_n + 1))
     _emit(_RENDERERS[args.format](rows), args.output)
     return 0
 
 
 def cmd_zindex(args: argparse.Namespace) -> int:
+    least = 1 if args.which == "R" else 2
+    if args.max_degree < least:
+        raise _UsageError(f"zindex {args.which} requires --max-degree >= {least}")
+    _check_guard("--max-degree", args.max_degree, species.SERIES_LIMIT, "series")
     if args.which == "R":
         series = binary_tree_cycle_index(args.max_degree)
     else:
-        if args.max_degree < 2:
-            raise _UsageError("zindex U requires --max-degree >= 2")
         series = unrooted_tree_cycle_index(args.max_degree)
     _emit(series.render() + "\n", args.output)
     return 0
 
 
 def cmd_gf(args: argparse.Namespace) -> int:
+    start = 1 if args.which == "R" else 2
+    if args.max_n < start:
+        raise _UsageError(f"gf {args.which} requires --max-n >= {start}")
+    _check_guard("--max-n", args.max_n, species.SERIES_LIMIT, "series")
     if args.which == "R":
         series = binary_tree_cycle_index(args.max_n)
-        start, label = 1, "R-unlabeled"
+        label = "R-unlabeled"
     else:
-        if args.max_n < 2:
-            raise _UsageError("gf U requires --max-n >= 2")
         series = unrooted_tree_cycle_index(args.max_n)
-        start, label = 2, "U-unlabeled"
+        label = "U-unlabeled"
     gf = series.unlabeled_gf()
     rows: Rows = []
     for n in range(start, args.max_n + 1):
@@ -302,6 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # counts are exact and can run to thousands of digits; the interpreter's
+    # default cap on int-to-str conversion is for parsing untrusted input
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -309,11 +329,14 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SizeLimitExceeded, DegreeOutOfRange, ValueError) as exc:
+    except (SizeLimitExceeded, DegreeOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        import traceback  # only on this path: keeps it out of start-up time
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 1
 
 

@@ -322,23 +322,7 @@ def inner_plethysm_hn(n: int, g: CycleIndexSeries) -> CycleIndexSeries:
     return total
 
 
-# -- module-level aliases matching the operation names -------------------
-
-
-def add(f: CycleIndexSeries, g: CycleIndexSeries) -> CycleIndexSeries:
-    return f + g
-
-
-def multiply(f: CycleIndexSeries, g: CycleIndexSeries) -> CycleIndexSeries:
-    return f * g
-
-
-def plethysm(f: CycleIndexSeries, g: CycleIndexSeries) -> CycleIndexSeries:
-    return f.plethysm(g)
-
-
-def kronecker(f: CycleIndexSeries, g: CycleIndexSeries) -> CycleIndexSeries:
-    return f.kronecker(g)
+# -- module-level forms of the coefficient readers ----------------------
 
 
 def unlabeled_gf(f: CycleIndexSeries) -> list[Fraction]:

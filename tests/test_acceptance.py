@@ -65,7 +65,6 @@ def report(name, ok, detail=""):
 def clear_series_caches():
     binary_tree_cycle_index.cache_clear()
     unrooted_tree_cycle_index.cache_clear()
-    species._chain_unordered_series.cache_clear()
     species._unrooted_pair_series.cache_clear()
     species._unrooted_unordered_series.cache_clear()
 

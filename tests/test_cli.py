@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tanglecount import species
 from tanglecount.cli import main
 
 
@@ -120,6 +121,58 @@ class TestCounts:
         assert code == 2
         assert "unrooted-ordered" in err
 
+    def test_rooted_tables_to_200(self, capsys):
+        code, out, _ = run(
+            capsys, "counts", "--family", "rooted-ordered", "--family", "rooted-unordered",
+            "--family", "chain", "--family", "chain-unordered", "--k", "3",
+            "--max-n", "200",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 4 * 200
+        assert lines[-1].startswith("chain-unordered(k=3)\t200\t")
+
+    def test_counts_beyond_default_str_digit_cap(self, capsys):
+        # 945^1500 / 720 at n = 6 has about 4460 digits
+        code, out, _ = run(capsys, "counts", "--family", "chain", "--k", "1500", "--max-n", "6")
+        assert code == 0
+        assert len(out.splitlines()[-1].split("\t")[2]) > 4300
+
+    def test_bad_chain_length_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "counts", "--family", "chain", "--k", "0", "--max-n", "3")
+        assert code == 2
+        assert err.startswith("error:") and "k >= 1" in err
+
+    def test_internal_value_error_exits_one(self, capsys, monkeypatch):
+        def broken(*args):
+            raise ValueError("broken")
+
+        monkeypatch.setattr(species, "count", broken)
+        code, _, err = run(capsys, "counts", "--family", "unrooted-ordered", "--max-n", "3")
+        assert code == 1
+        assert err.startswith("internal error:") and "broken" in err
+
+    @pytest.mark.parametrize(
+        "family, max_n",
+        [
+            ("unrooted-ordered", species.SERIES_LIMIT + 1),
+            ("unrooted-unordered", 200),
+            ("rooted-ordered", species.ROOTED_DP_LIMIT + 1),
+            ("chain-unordered", 10_000),
+        ],
+    )
+    def test_guard_refuses_before_computing(self, capsys, monkeypatch, family, max_n):
+        def forbidden(*args):
+            raise AssertionError("computed past the guard")
+
+        monkeypatch.setattr(species, "count_table", forbidden)
+        code, _, err = run(
+            capsys, "counts", "--family", "rooted-unordered", "--family", family,
+            "--max-n", str(max_n),
+        )
+        assert code == 2
+        assert "guard" in err
+
 
 class TestZindex:
     def test_r_degree_two(self, capsys):
@@ -142,6 +195,16 @@ class TestZindex:
         assert code == 2
         assert "max-degree" in err
 
+    def test_r_requires_degree_one(self, capsys):
+        code, _, err = run(capsys, "zindex", "R", "--max-degree", "0")
+        assert code == 2
+        assert "max-degree" in err
+
+    def test_guard(self, capsys):
+        code, _, err = run(capsys, "zindex", "R", "--max-degree", str(species.SERIES_LIMIT + 1))
+        assert code == 2
+        assert "guard" in err
+
 
 class TestGf:
     def test_r_matches_wedderburn(self, capsys):
@@ -158,6 +221,16 @@ class TestGf:
         # unlabeled unrooted binary trees: one shape through n = 5, two at n = 6
         # (verified by explicit orbit counting over the enumerated trees)
         assert [int(l.split()[1]) for l in lines[1:]] == [1, 1, 1, 1, 2]
+
+    def test_r_requires_max_n_one(self, capsys):
+        code, _, err = run(capsys, "gf", "R", "--max-n", "0")
+        assert code == 2
+        assert "max-n" in err
+
+    def test_guard(self, capsys):
+        code, _, err = run(capsys, "gf", "U", "--max-n", "200")
+        assert code == 2
+        assert "guard" in err
 
 
 class TestVerify:

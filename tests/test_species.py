@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,14 @@ from tanglecount import (
     chain,
     chain_unordered,
     count,
+    count_table,
     h_series,
+    inner_plethysm_hn,
     is_binary_partition,
     labeled_counts,
     p1,
     partitions_of,
+    power_type,
     r_closed_form,
     r_coefficient,
     unrooted_tree_cycle_index,
@@ -222,6 +226,89 @@ class TestCount:
     def test_beyond_truncation_rejected(self):
         with pytest.raises(DegreeOutOfRange):
             count(ROOTED_ORDERED, 6, 5)
+
+
+ROOTED_SHAPES = (
+    [(ROOTED_ORDERED, 2, False), (ROOTED_UNORDERED, 2, True)]
+    + [(chain(k), k, False) for k in range(1, 5)]
+    + [(chain_unordered(k), k, True) for k in range(1, 5)]
+)
+
+
+def restricted_support_count(k, unordered, n):
+    """The cycle-type sum written out over every lam |- n, with each
+    r_{lam^j} from the closed form: no series and no binary-partition pass."""
+    mus = partitions_of(k) if unordered else [P((1,) * k)]
+    total = Fraction(0)
+    for lam in partitions_of(n):
+        for mu in mus:
+            term = Fraction(1, z(lam) * z(mu))
+            for j in mu.parts:
+                term *= r_closed_form(power_type(lam, j))
+            total += term
+    if not unordered:
+        total *= math.factorial(k)
+    return total
+
+
+class TestCountTable:
+    def test_matches_series_route(self):
+        # Kronecker powers of Z_R for tuples, h_k{Z_R} for multisets
+        N = 25
+        zr = binary_tree_cycle_index(N)
+        for fam, k, unordered in ROOTED_SHAPES:
+            if unordered:
+                route = inner_plethysm_hn(k, zr)
+            else:
+                route = zr
+                for _ in range(k - 1):
+                    route = route.kronecker(zr)
+            table = count_table(fam, N)
+            for n in range(1, N + 1):
+                assert table[n] == route.count_at_degree(n), (fam.label, n)
+
+    def test_matches_restricted_support_sum(self):
+        # k up to 6 reaches the non-binary lam of mu = (3,), (3,3), (5,), (6,)
+        for k in range(1, 7):
+            for fam, unordered in ((chain(k), False), (chain_unordered(k), True)):
+                table = count_table(fam, 12)
+                for n in range(1, 13):
+                    assert table[n] == restricted_support_count(k, unordered, n), (
+                        fam.label, n)
+
+    def test_single_tree_is_wedderburn_etherington_at_200(self):
+        wet = wedderburn_etherington(200)
+        assert count_table(chain(1), 200) == wet
+        assert count_table(chain_unordered(1), 200) == wet
+
+    def test_multiset_of_two_is_unordered_pair_at_200(self):
+        unordered = count_table(ROOTED_UNORDERED, 200)
+        assert count_table(chain_unordered(2), 200) == unordered
+        ordered = count_table(ROOTED_ORDERED, 200)
+        assert count_table(chain(2), 200) == ordered
+        for n in range(1, 201):
+            assert ordered[n] >= unordered[n] >= Fraction(ordered[n], 2), n
+
+    def test_longer_table_extends_shorter(self):
+        for fam, _, _ in ROOTED_SHAPES:
+            assert count_table(fam, 50)[:31] == count_table(fam, 30), fam.label
+
+    def test_unrooted_rows_match_count(self):
+        for fam in (UNROOTED_ORDERED, UNROOTED_UNORDERED):
+            table = count_table(fam, 8)
+            assert table[:2] == [0, 0]
+            assert table[2:] == [count(fam, n, 8) for n in range(2, 9)]
+
+    def test_small_tables(self):
+        assert count_table(ROOTED_ORDERED, 0) == [0]
+        assert count_table(ROOTED_ORDERED, 6) == [0, 1, 1, 2, 13, 114, 1509]
+        assert count_table(UNROOTED_ORDERED, 1) == [0, 0]
+        with pytest.raises(ValueError):
+            count_table(ROOTED_ORDERED, -1)
+
+    def test_rooted_count_ignores_truncation_degree(self):
+        for fam, _, _ in ROOTED_SHAPES[:4]:
+            assert count(fam, 7) == count(fam, 7, 7) == count(fam, 7, 40)
 
 
 class TestWedderburnEtherington:
