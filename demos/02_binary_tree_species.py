@@ -5,7 +5,9 @@ A rooted binary tree is a leaf or an unordered pair of binary trees, so
 its cycle index solves Z = p_1 + h_2[Z].  The unrooted series follows by
 the dissymmetry decomposition.  The coefficient of p_lam/z_lam in Z_R is
 the number of labeled trees fixed by a permutation of cycle type lam,
-which also has a closed product form that we cross-check here.
+which also has a closed product form that we cross-check here.  The
+unrooted counts u_lam follow from r_lam by three rules, checked against
+Z_U.
 """
 
 from tanglecount import (
@@ -17,8 +19,10 @@ from tanglecount import (
     partitions_of,
     r_closed_form,
     r_coefficient,
+    u_direct,
     unrooted_tree_cycle_index,
     wedderburn_etherington,
+    z,
 )
 
 N = 8
@@ -43,6 +47,14 @@ for lam in partitions_of(6):
     closed = r_closed_form(lam)
     marker = "" if solved == closed else "  <-- MISMATCH"
     print(f"  {str(lam):16} {solved:6d} {closed:6d}{marker}")
+
+print()
+print("fixed unrooted trees u_lam, Z_U vs the three rules, n = 6:")
+for lam in partitions_of(6):
+    series = int(zu.coefficient(lam) * z(lam))
+    rules = u_direct(lam)
+    marker = "" if series == rules else "  <-- MISMATCH"
+    print(f"  {str(lam):16} {series:6d} {rules:6d}{marker}")
 
 print()
 print("unlabeled rooted trees (Wedderburn-Etherington), two routes:")

@@ -3,8 +3,9 @@
 
 A tanglegram is a pair of binary trees sharing a leaf set; variants drop
 the ordering of the pair, unroot the trees, or lengthen the pair to a
-chain of k trees.  All counts are exact integers: the rooted ones from
-one pass over binary partitions, the unrooted ones from the cycle indices.
+chain of k trees.  All counts are exact integers, summed over the cycle
+types of the leaf permutation with no series: the rooted ones by one pass
+over binary partitions, the unrooted ones over the support of u_lam.
 """
 
 from tanglecount import (

@@ -1,11 +1,12 @@
-"""Exact enumeration of tanglegram variants via cycle-index series.
+"""Exact enumeration of tanglegram variants.
 
-The package computes, in exact rational arithmetic, the cycle indices of
-rooted and unrooted leaf-labeled binary trees and extracts from them the
-numbers of unlabeled tanglegrams: ordered and unordered, rooted and
-unrooted, plus tangled chains of any length.  A brute-force Burnside
-oracle over explicitly enumerated trees cross-checks everything at small
-sizes.
+The package counts unlabeled tanglegrams exactly: ordered and unordered,
+rooted and unrooted, plus tangled chains of any length, each as a sum
+over the cycle types of the leaf permutation of the numbers of labeled
+trees that a permutation fixes.  The cycle indices of rooted and unrooted
+leaf-labeled binary trees, in exact rational arithmetic, give a second
+route, and a brute-force Burnside oracle over explicitly enumerated trees
+cross-checks everything at small sizes.
 
 >>> from tanglecount import ROOTED_ORDERED, count
 >>> [count(ROOTED_ORDERED, n) for n in range(1, 7)]
@@ -57,6 +58,7 @@ from .species import (
     labeled_counts,
     r_closed_form,
     r_coefficient,
+    u_direct,
     unrooted_tree_cycle_index,
     wedderburn_etherington,
 )
@@ -98,6 +100,7 @@ __all__ = [
     "power_type",
     "r_closed_form",
     "r_coefficient",
+    "u_direct",
     "unlabeled_gf",
     "union",
     "unrooted_tree_cycle_index",

@@ -129,9 +129,16 @@ def cmd_counts(args: argparse.Namespace) -> int:
         if max_n < fam.min_n:
             raise _UsageError(f"{fam.label} requires --max-n >= {fam.min_n}")
         if fam.unrooted:
-            _check_guard("--max-n", max_n, species.SERIES_LIMIT, "series")
+            _check_guard("--max-n", max_n, species.UNROOTED_LIMIT, "unrooted")
         else:
             _check_guard("--max-n", max_n, species.ROOTED_DP_LIMIT, "rooted")
+        if fam.kind == "chain-unordered":
+            limit = species.chain_parts_limit(max_n)
+            if species.chain_pass_parts(fam.k, limit) > limit:
+                raise _UsageError(
+                    f"--k {fam.k} needs passes with more than {limit} parts in all "
+                    f"to --max-n {max_n}, over the chain-unordered guard"
+                )
     rows: Rows = []
     for fam in families:
         table = species.count_table(fam, max_n)
@@ -242,14 +249,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         UNROOTED_UNORDERED,
     ]
     for fam in families:
+        table = species.count_table(fam, max_n)
         ok = True
         first_bad = ""
         for n in range(fam.min_n, max_n + 1):
             got = oracle.burnside_count(fam, n)
-            want = species.count(fam, n, max_n)
-            if got != want:
+            if got != table[n]:
                 ok = False
-                first_bad = f"n={n}: oracle {got} vs series {want}"
+                first_bad = f"n={n}: oracle {got} vs series {table[n]}"
                 break
         report(f"burnside-vs-series[{fam.label}]", ok, first_bad)
 

@@ -1,10 +1,12 @@
 """Integer partitions and the partition-level statistics that the
 symmetric-function layer is built on: the centralizer order z(lambda),
-power types lambda^k, and multiset union."""
+power types lambda^k, and multiset union; and the partitions into powers
+of 2 that the fixed-tree counts live on."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache, total_ordering
 
 
@@ -65,14 +67,17 @@ class Partition:
 EMPTY = Partition(())
 
 
-@lru_cache(maxsize=None)
-def _partitions_tuple(n: int) -> tuple[Partition, ...]:
+def iter_partitions(n: int) -> Iterator[Partition]:
+    """The partitions of n in the order of partitions_of, one at a time and
+    uncached, for callers that may stop early."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n == 0:
-        return (EMPTY,)
-    out = []
+        yield EMPTY
+        return
     a = [n]
     while True:
-        out.append(Partition(tuple(a)))
+        yield Partition(tuple(a))
         # rightmost part that can still be decreased
         i = len(a) - 1
         while i >= 0 and a[i] == 1:
@@ -86,7 +91,15 @@ def _partitions_tuple(n: int) -> tuple[Partition, ...]:
             nxt = min(a[-1], rest)
             a.append(nxt)
             rest -= nxt
-    return tuple(out)
+
+
+# One entry per size n.  The series algebra asks for every size up to its
+# truncation degree, at most species.SERIES_LIMIT = 40, so 64 entries keep
+# that path from enumerating any size twice while p(n) objects per entry
+# (about 10^6 at n = 60) stop accumulating for every n ever asked for.
+@lru_cache(maxsize=64)
+def _partitions_tuple(n: int) -> tuple[Partition, ...]:
+    return tuple(iter_partitions(n))
 
 
 def partitions_of(n: int) -> list[Partition]:
@@ -131,3 +144,27 @@ def is_binary_partition(lam: Partition) -> bool:
 def union(lam: Partition, mu: Partition) -> Partition:
     """Multiset union of parts; realizes p_lam * p_mu = p_{union}."""
     return Partition(tuple(sorted(lam.parts + mu.parts, reverse=True)))
+
+
+def binary_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into powers of 2, each exactly once, as
+    multiplicity vectors: entry a counts the parts equal to 2^a, and the
+    last entry, for the largest part, is nonzero (n = 0 gives ())."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        yield ()
+        return
+
+    def fill(mult: list[int], a: int, rest: int, least: int) -> Iterator[tuple[int, ...]]:
+        # parts 2^a and below make up rest; the larger ones are chosen
+        if a == 0:
+            mult[0] = rest
+            yield tuple(mult)
+            return
+        for m in range(rest >> a, least - 1, -1):
+            mult[a] = m
+            yield from fill(mult, a - 1, rest - (m << a), 0)
+
+    for top in range(n.bit_length() - 1, -1, -1):
+        yield from fill([0] * (top + 1), top, n, 1)

@@ -65,8 +65,6 @@ def report(name, ok, detail=""):
 def clear_series_caches():
     binary_tree_cycle_index.cache_clear()
     unrooted_tree_cycle_index.cache_clear()
-    species._unrooted_pair_series.cache_clear()
-    species._unrooted_unordered_series.cache_clear()
 
 
 def test_criterion_01_unordered_tanglegram_table():

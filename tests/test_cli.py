@@ -132,6 +132,16 @@ class TestCounts:
         assert len(lines) == 1 + 4 * 200
         assert lines[-1].startswith("chain-unordered(k=3)\t200\t")
 
+    def test_unrooted_tables_to_40(self, capsys):
+        code, out, _ = run(
+            capsys, "counts", "--family", "unrooted-ordered", "--family",
+            "unrooted-unordered", "--max-n", "40",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 2 * 39
+        assert lines[-1].startswith("unrooted-unordered\t40\t")
+
     def test_counts_beyond_default_str_digit_cap(self, capsys):
         # 945^1500 / 720 at n = 6 has about 4460 digits
         code, out, _ = run(capsys, "counts", "--family", "chain", "--k", "1500", "--max-n", "6")
@@ -147,7 +157,7 @@ class TestCounts:
         def broken(*args):
             raise ValueError("broken")
 
-        monkeypatch.setattr(species, "count", broken)
+        monkeypatch.setattr(species, "count_table", broken)
         code, _, err = run(capsys, "counts", "--family", "unrooted-ordered", "--max-n", "3")
         assert code == 1
         assert err.startswith("internal error:") and "broken" in err
@@ -155,8 +165,8 @@ class TestCounts:
     @pytest.mark.parametrize(
         "family, max_n",
         [
-            ("unrooted-ordered", species.SERIES_LIMIT + 1),
-            ("unrooted-unordered", 200),
+            ("unrooted-ordered", species.UNROOTED_LIMIT + 1),
+            ("unrooted-unordered", 10_000),
             ("rooted-ordered", species.ROOTED_DP_LIMIT + 1),
             ("chain-unordered", 10_000),
         ],
@@ -172,6 +182,36 @@ class TestCounts:
         )
         assert code == 2
         assert "guard" in err
+
+    @pytest.mark.parametrize("family", ["unrooted-ordered", "unrooted-unordered"])
+    def test_unrooted_guard_admits_its_limit(self, capsys, monkeypatch, family):
+        monkeypatch.setattr(species, "count_table", lambda fam, max_n: [0] * (max_n + 1))
+        code, _, _ = run(
+            capsys, "counts", "--family", family, "--max-n", str(species.UNROOTED_LIMIT)
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("k, max_n", [(10**6, 10), (31, 22), (20, 200), (5, 600)])
+    def test_chain_pass_guard_refuses_before_computing(self, capsys, monkeypatch, k, max_n):
+        def forbidden(*args):
+            raise AssertionError("computed past the guard")
+
+        monkeypatch.setattr(species, "count_table", forbidden)
+        code, _, err = run(
+            capsys, "counts", "--family", "chain-unordered", "--k", str(k),
+            "--max-n", str(max_n),
+        )
+        assert code == 2
+        assert "guard" in err and "chain-unordered" in err
+
+    @pytest.mark.parametrize("k, max_n", [(30, 22), (30, 100), (4, 600)])
+    def test_chain_pass_guard_admits(self, capsys, monkeypatch, k, max_n):
+        monkeypatch.setattr(species, "count_table", lambda fam, max_n: [0] * (max_n + 1))
+        code, _, _ = run(
+            capsys, "counts", "--family", "chain-unordered", "--k", str(k),
+            "--max-n", str(max_n),
+        )
+        assert code == 0
 
 
 class TestZindex:
@@ -244,6 +284,28 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-n", "1")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_one_table_per_family(self, capsys, monkeypatch):
+        calls = []
+        table = species.count_table
+
+        def counted(fam, max_n):
+            calls.append((fam.label, max_n))
+            return table(fam, max_n)
+
+        def forbidden(*args):
+            raise AssertionError("count called per row")
+
+        monkeypatch.setattr(species, "count_table", counted)
+        monkeypatch.setattr(species, "count", forbidden)
+        code, out, _ = run(capsys, "verify", "--max-n", "4")
+        assert code == 0 and "FAIL" not in out
+        assert sorted(calls) == sorted(
+            (label, 4) for label in (
+                "rooted-ordered", "rooted-unordered", "chain(k=3)",
+                "chain-unordered(k=3)", "unrooted-ordered", "unrooted-unordered",
+            )
+        )
 
     def test_guard_violation_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "--max-n", "99")

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from tanglecount import partitions, species
 from tanglecount.partitions import (
     Partition,
+    binary_partitions,
     is_binary_partition,
+    iter_partitions,
     partitions_of,
     power_type,
     union,
@@ -99,6 +102,54 @@ class TestPartitionsOf:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partitions_of(-1)
+
+    def test_cache_is_bounded_above_the_series_degrees(self):
+        # the series path asks for every size up to SERIES_LIMIT
+        maxsize = partitions._partitions_tuple.cache_info().maxsize
+        assert maxsize is not None and maxsize >= species.SERIES_LIMIT + 1
+
+
+class TestIterPartitions:
+    def test_same_as_partitions_of(self):
+        for n in range(0, 13):
+            assert list(iter_partitions(n)) == partitions_of(n)
+
+    def test_lazy_for_huge_n(self):
+        first = list(zip(range(3), iter_partitions(10**9)))
+        assert [lam.parts for _, lam in first] == [
+            (10**9,), (10**9 - 1, 1), (10**9 - 2, 2)
+        ]
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            next(iter_partitions(-1))
+
+
+# b(0)..b(20), partitions into powers of 2
+BINARY_PARTITION_NUMBERS = [1, 1, 2, 2, 4, 4, 6, 6, 10, 10, 14, 14, 20, 20, 26,
+                            26, 36, 36, 46, 46, 60]
+
+
+def from_vector(mult):
+    return Partition(tuple(1 << a for a in reversed(range(len(mult))) for _ in range(mult[a])))
+
+
+class TestBinaryPartitions:
+    def test_against_filtered_partitions(self):
+        for n in range(0, 21):
+            got = [from_vector(mult) for mult in binary_partitions(n)]
+            want = [lam for lam in partitions_of(n) if is_binary_partition(lam)]
+            assert sorted(got) == sorted(want), n
+            assert len(got) == len(set(got)) == BINARY_PARTITION_NUMBERS[n]
+
+    def test_vectors_end_in_the_largest_part(self):
+        assert list(binary_partitions(0)) == [()]
+        for n in range(1, 40):
+            assert all(mult[-1] for mult in binary_partitions(n)), n
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            next(binary_partitions(-1))
 
 
 class TestZ:

@@ -31,6 +31,8 @@ from tanglecount import (
     wedderburn_etherington,
     z,
 )
+from tanglecount import species
+from tanglecount import u_direct
 
 P = Partition
 
@@ -154,6 +156,32 @@ class TestRClosedForm:
                     assert r_coefficient(lam, zr) == 0
 
 
+class TestUDirect:
+    def test_matches_series_through_degree_20(self):
+        # every lam, the zeros off the support included
+        zu = unrooted_tree_cycle_index(20)
+        for n in range(0, 21):
+            for lam in partitions_of(n):
+                assert u_direct(lam) == zu.coefficient(lam) * z(lam), lam
+
+    def test_examples(self):
+        assert u_direct(P((2, 2))) == 3
+        assert u_direct(P((3,))) == 1
+        assert u_direct(P((2, 2, 2))) == 19
+        assert u_direct(P((6, 3))) == 3  # 3 (2, 1): 3 r_(2,1)
+        assert u_direct(P((3, 1))) == u_direct(P((5,))) == 0
+        assert u_direct(P((1,))) == u_direct(P(())) == 0
+
+    def test_all_leaves_fixed_at_60(self):
+        # (2n-5)!! labeled unrooted binary trees on n leaves
+        expected = math.prod(range(1, 2 * 60 - 4, 2))
+        assert u_direct(P((1,) * 60)) == expected
+
+    def test_non_integer_raises(self):
+        with pytest.raises(NonIntegerCoefficient):
+            species._NoLeaf(4, 1, 0, 0).u()
+
+
 class TestTanglegramFamily:
     def test_chain_requires_k(self):
         with pytest.raises(ValueError):
@@ -268,8 +296,9 @@ class TestCountTable:
                 assert table[n] == route.count_at_degree(n), (fam.label, n)
 
     def test_matches_restricted_support_sum(self):
-        # k up to 6 reaches the non-binary lam of mu = (3,), (3,3), (5,), (6,)
-        for k in range(1, 7):
+        # k up to 6 reaches the non-binary lam of mu = (3,), (3,3), (5,), (6,);
+        # from k = 7 on, several mu share one pass
+        for k in range(1, 9):
             for fam, unordered in ((chain(k), False), (chain_unordered(k), True)):
                 table = count_table(fam, 12)
                 for n in range(1, 13):
@@ -299,6 +328,28 @@ class TestCountTable:
             assert table[:2] == [0, 0]
             assert table[2:] == [count(fam, n, 8) for n in range(2, 9)]
 
+    def test_unrooted_matches_series_route(self):
+        # Kronecker square and h_2{.} of Z_U
+        N = 22
+        zu = unrooted_tree_cycle_index(N)
+        pairs = zu.kronecker(zu)
+        unordered = inner_plethysm_hn(2, zu)
+        ordered_table = count_table(UNROOTED_ORDERED, N)
+        unordered_table = count_table(UNROOTED_UNORDERED, N)
+        for n in range(2, N + 1):
+            assert ordered_table[n] == pairs.count_at_degree(n), n
+            assert unordered_table[n] == unordered.count_at_degree(n), n
+
+    def test_unrooted_involution_bounds_at_60(self):
+        ordered = count_table(UNROOTED_ORDERED, 60)
+        unordered = count_table(UNROOTED_UNORDERED, 60)
+        for n in range(2, 61):
+            assert ordered[n] >= unordered[n] >= Fraction(ordered[n], 2), n
+
+    def test_unrooted_longer_table_extends_shorter(self):
+        for fam in (UNROOTED_ORDERED, UNROOTED_UNORDERED):
+            assert count_table(fam, 60)[:41] == count_table(fam, 40), fam.label
+
     def test_small_tables(self):
         assert count_table(ROOTED_ORDERED, 0) == [0]
         assert count_table(ROOTED_ORDERED, 6) == [0, 1, 1, 2, 13, 114, 1509]
@@ -309,6 +360,15 @@ class TestCountTable:
     def test_rooted_count_ignores_truncation_degree(self):
         for fam, _, _ in ROOTED_SHAPES[:4]:
             assert count(fam, 7) == count(fam, 7, 7) == count(fam, 7, 40)
+
+    def test_unrooted_count_ignores_truncation_degree(self):
+        for fam in (UNROOTED_ORDERED, UNROOTED_UNORDERED):
+            assert count(fam, 9) == count(fam, 9, 9) == count(fam, 9, 40)
+
+    def test_chain_pass_parts(self):
+        assert species.chain_pass_parts(3) == 6  # mu = (1,1,1), (2,1), (3)
+        assert species.chain_pass_parts(20) == 1696  # 199 passes for 627 mu
+        assert species.chain_pass_parts(10**6, 100) > 100  # stops early
 
 
 class TestWedderburnEtherington:
