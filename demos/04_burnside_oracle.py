@@ -2,7 +2,8 @@
 """Brute force against symbols.
 
 The oracle enumerates every labeled tree explicitly, counts the trees
-fixed by each permutation, and applies Burnside's lemma: the number of
+fixed by one permutation of each cycle type (`fixed_counts`, one table
+per n and tree kind), and applies Burnside's lemma: the number of
 unlabeled structures is the average number of fixed labeled structures
 over the group.  At small n this must agree with the cycle-index route,
 and it does.
@@ -20,11 +21,10 @@ from tanglecount import (
     count,
     enumerate_rooted,
     enumerate_unrooted,
-    fix_count,
+    fixed_counts,
     partitions_of,
     r_coefficient,
 )
-from tanglecount.oracle import permutation_of_type
 
 print("explicit enumeration sizes:")
 for n in range(1, 8):
@@ -35,11 +35,10 @@ for n in range(1, 8):
 
 print()
 print("fix counts by cycle type at n = 5 (match the r_lam column of Z_R):")
-trees = enumerate_rooted(5)
+fixes = fixed_counts(5, unrooted=False)
 zr = binary_tree_cycle_index(5)
 for lam in partitions_of(5):
-    sigma = permutation_of_type(lam, 5)
-    print(f"  {str(lam):14} fixes {fix_count(trees, sigma):4d}"
+    print(f"  {str(lam):14} fixes {fixes[lam]:4d}"
           f"   r_lam = {r_coefficient(lam, zr):4d}")
 
 print()

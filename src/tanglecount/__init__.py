@@ -33,6 +33,7 @@ from .oracle import (
     enumerate_rooted,
     enumerate_unrooted,
     fix_count,
+    fixed_counts,
 )
 from .partitions import (
     Partition,
@@ -89,6 +90,7 @@ __all__ = [
     "enumerate_rooted",
     "enumerate_unrooted",
     "fix_count",
+    "fixed_counts",
     "h_series",
     "inner_plethysm_hn",
     "inner_plethysm_pk",

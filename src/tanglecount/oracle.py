@@ -4,17 +4,28 @@ Burnside orbit counts for every tanglegram family.
 
 Rooted trees are nested tuples: a leaf is its integer label, an internal
 vertex is a pair of subtrees kept in a canonical order, so structural
-equality is isomorphism of labeled trees.  Everything here is meant for
-n up to about 8; the symbolic path is the production path.
+equality is isomorphism of labeled trees.  An unrooted tree is compared
+through its encoding rooted at leaf 1's only edge: leaves are labeled,
+so leaf 1 is already a canonical root and one encoding takes the place
+of the minimum over all 2n - 3 edge rootings.
+
+The fixed-point counts depend only on the cycle type of a permutation,
+so `fixed_counts(n, unrooted)` enumerates the trees once and counts, by
+relabeling and comparing, the trees fixed by one representative of each
+type.  The table (p(n) integers, never the trees) is cached per
+(n, tree kind), and every Burnside sum and `verify` check reads it; a
+power sigma^m is looked up by its cycle type, since conjugate
+permutations fix equally many trees.  Everything here is meant for n up
+to about 8; the symbolic path is the production path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .partitions import Partition, partitions_of, z
+from .partitions import Partition, partitions_of, power_type, z
 from .species import TanglegramFamily
 
 DEFAULT_ENUMERATION_LIMIT = 8
@@ -124,18 +135,12 @@ class UnrootedTree:
 
     @cached_property
     def canonical(self) -> tuple:
-        """Minimum over all edge-midpoint rootings of the sorted pair of
-        directed-subtree encodings; invariant under renaming internal ids."""
+        """Encoding of the tree rooted at leaf 1's only edge: equal for two
+        trees iff they are the same labeled tree, and invariant under
+        renaming internal ids and reordering edges."""
         adj = self._adjacency()
-        best = None
-        for u, v in self.edges:
-            half_u = self._encode_from(u, v, adj)
-            half_v = self._encode_from(v, u, adj)
-            enc = (half_u, half_v) if half_u <= half_v else (half_v, half_u)
-            if best is None or enc < best:
-                best = enc
-        assert best is not None
-        return best
+        (hub,) = adj[1]
+        return self._encode_from(hub, 1, adj)
 
     def relabel(self, sigma: tuple[int, ...]) -> "UnrootedTree":
         """Apply the leaf relabeling i -> sigma[i-1]; internal ids unchanged."""
@@ -213,13 +218,6 @@ def compose(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sigma[t - 1] for t in tau)
 
 
-def _power(sigma: tuple[int, ...], m: int) -> tuple[int, ...]:
-    out = sigma
-    for _ in range(m - 1):
-        out = compose(out, sigma)
-    return out
-
-
 # -- fixed points and Burnside counts --------------------------------------
 
 
@@ -238,6 +236,40 @@ def fix_count(trees: list, sigma: tuple[int, ...]) -> int:
     return count
 
 
+# One table per (n, tree kind) up to the enumeration guard; each holds p(n)
+# integers, the trees themselves are dropped once counted.  The guard is
+# checked by fixed_counts, so that it stays out of the cache key.
+@lru_cache(maxsize=2 * (DEFAULT_ENUMERATION_LIMIT + 1))
+def _fixed_table(n: int, unrooted: bool) -> tuple[tuple[Partition, int], ...]:
+    if unrooted:
+        trees = enumerate_unrooted(n, limit=n)
+    else:
+        trees = enumerate_rooted(n, limit=n)
+    return tuple(
+        (lam, fix_count(trees, permutation_of_type(lam, n))) for lam in partitions_of(n)
+    )
+
+
+def fixed_counts(
+    n: int, unrooted: bool, limit: int = DEFAULT_ENUMERATION_LIMIT
+) -> dict[Partition, int]:
+    """Map each cycle type lam |- n to the number of enumerated labeled
+    trees (unrooted or rooted) fixed by a permutation of type lam.
+
+    The trees are enumerated once per (n, kind) and the counts cached;
+    the identity type 1^n fixes every tree, so its entry is the number
+    of trees.  Raises SizeLimitExceeded for n > limit.
+    """
+    if n > limit:
+        kind = "unrooted" if unrooted else "rooted"
+        raise SizeLimitExceeded(f"n = {n} exceeds {kind} enumeration limit {limit}")
+    return dict(_fixed_table(n, unrooted))
+
+
+fixed_counts.cache_clear = _fixed_table.cache_clear  # type: ignore[attr-defined]
+fixed_counts.cache_info = _fixed_table.cache_info  # type: ignore[attr-defined]
+
+
 def burnside_count(
     family: TanglegramFamily, n: int, limit: int = DEFAULT_BURNSIDE_LIMIT
 ) -> int:
@@ -247,36 +279,30 @@ def burnside_count(
     The group is S_n for ordered families (a k-tuple is fixed iff every
     entry is) and S_n x S_k for unordered ones, where a coordinate
     permutation with cycle lengths m contributes prod fix(sigma^m).
-    Permutations are grouped by cycle type with weight n!/z_lam.
+    Permutations are grouped by cycle type with weight n!/z_lam, and
+    fix(sigma^m) is read from `fixed_counts` at the cycle type of sigma^m.
     """
     if n > limit:
         raise SizeLimitExceeded(f"n = {n} exceeds Burnside limit {limit}")
     if n < family.min_n:
         raise ValueError(f"{family.label} requires n >= {family.min_n}, got {n}")
-    if family.unrooted:
-        trees = enumerate_unrooted(n, limit=max(limit, DEFAULT_ENUMERATION_LIMIT))
-    else:
-        trees = enumerate_rooted(n, limit=max(limit, DEFAULT_ENUMERATION_LIMIT))
+    fixes = fixed_counts(n, family.unrooted, limit=max(limit, DEFAULT_ENUMERATION_LIMIT))
     k = family.k if family.k is not None else 2
     unordered = family.kind in ("rooted-unordered", "unrooted-unordered", "chain-unordered")
 
     n_fact = math.factorial(n)
+    k_fact = math.factorial(k)
     total = 0
     for lam in partitions_of(n):
-        sigma = permutation_of_type(lam, n)
         weight = n_fact // z(lam)
         if not unordered:
-            total += weight * fix_count(trees, sigma) ** k
+            total += weight * fixes[lam] ** k
             continue
-        fixes: dict[int, int] = {}
         inner = 0
-        k_fact = math.factorial(k)
         for mu in partitions_of(k):
             term = k_fact // z(mu)
             for m in mu.parts:
-                if m not in fixes:
-                    fixes[m] = fix_count(trees, _power(sigma, m))
-                term *= fixes[m]
+                term *= fixes[power_type(lam, m)]
             inner += term
         total += weight * inner
 

@@ -110,7 +110,13 @@ def partitions_of(n: int) -> list[Partition]:
     return list(_partitions_tuple(n))
 
 
-@lru_cache(maxsize=None)
+# Bounded like _partitions_tuple: chain-unordered asks z of each of the
+# p(k) partitions mu |- k once per table (5604 of them at k = 30), while the
+# oracle and the series algebra reuse fewer than 200 entries of each cache.
+_PARTITION_STAT_CACHE = 1024
+
+
+@lru_cache(maxsize=_PARTITION_STAT_CACHE)
 def z(lam: Partition) -> int:
     """Centralizer order 1^m1 m1! 2^m2 m2! ... of a permutation with cycle
     type lam; n!/z(lam) permutations of S_n share that cycle type."""
@@ -120,7 +126,7 @@ def z(lam: Partition) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PARTITION_STAT_CACHE)
 def power_type(lam: Partition, k: int) -> Partition:
     """Cycle type of sigma^k when sigma has cycle type lam: an m-cycle
     falls apart into gcd(m,k) cycles of length m/gcd(m,k)."""

@@ -2,8 +2,22 @@ import json
 
 import pytest
 
-from tanglecount import species
+from tanglecount import oracle, species
 from tanglecount.cli import main
+
+VERIFY_CHECKS = (
+    "rooted-enumeration-count",
+    "unrooted-enumeration-count",
+    "fix-count-vs-cycle-index",
+    "closed-form-vs-solver",
+    "burnside-vs-series[rooted-ordered]",
+    "burnside-vs-series[rooted-unordered]",
+    "burnside-vs-series[chain(k=3)]",
+    "burnside-vs-series[chain-unordered(k=3)]",
+    "burnside-vs-series[unrooted-ordered]",
+    "burnside-vs-series[unrooted-unordered]",
+    "wedderburn-etherington-consistency",
+)
 
 
 def run(capsys, *argv):
@@ -306,6 +320,30 @@ class TestVerify:
                 "chain-unordered(k=3)", "unrooted-ordered", "unrooted-unordered",
             )
         )
+
+    def test_one_enumeration_per_size_and_kind(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(name):
+            enumerate_trees = getattr(oracle, name)
+
+            def wrapper(n, limit=oracle.DEFAULT_ENUMERATION_LIMIT):
+                calls.append((name, n))
+                return enumerate_trees(n, limit)
+
+            return wrapper
+
+        for name in ("enumerate_rooted", "enumerate_unrooted"):
+            monkeypatch.setattr(oracle, name, counted(name))
+        oracle.fixed_counts.cache_clear()
+        code, out, _ = run(capsys, "verify", "--max-n", "5")
+        assert code == 0
+        assert len(calls) == len(set(calls))
+        assert sorted(calls) == sorted(
+            [("enumerate_rooted", n) for n in range(1, 6)]
+            + [("enumerate_unrooted", n) for n in range(2, 6)]
+        )
+        assert out.splitlines() == [f"PASS {name}" for name in VERIFY_CHECKS]
 
     def test_guard_violation_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "--max-n", "99")

@@ -18,8 +18,10 @@ from tanglecount import (
     enumerate_rooted,
     enumerate_unrooted,
     fix_count,
+    fixed_counts,
     labeled_counts,
     partitions_of,
+    power_type,
     r_closed_form,
     r_coefficient,
     z,
@@ -32,6 +34,23 @@ from tanglecount.oracle import (
     leaf_labels,
     permutation_of_type,
 )
+
+
+def min_over_rootings(tree):
+    """The former canonical form of an unrooted tree: the least sorted pair
+    of half-tree encodings over all edge-midpoint rootings, O(n^2)."""
+    adj = tree._adjacency()
+    return min(
+        tuple(sorted((tree._encode_from(u, v, adj), tree._encode_from(v, u, adj))))
+        for u, v in tree.edges
+    )
+
+
+def power(sigma, m):
+    out = sigma
+    for _ in range(m - 1):
+        out = compose(out, sigma)
+    return out
 
 
 def double_factorial_odd(m):
@@ -107,6 +126,30 @@ class TestEnumerateUnrooted:
         star_b = UnrootedTree(3, ((1, 9), (2, 9), (3, 9)))
         assert star_a.canonical == star_b.canonical
 
+    def test_canonical_ignores_edge_order(self):
+        # the quartet 13|24 with a pendant leaf 5, written two ways
+        tree = UnrootedTree(5, ((1, 6), (3, 6), (6, 7), (5, 7), (7, 8), (2, 8), (4, 8)))
+        scrambled = UnrootedTree(
+            5, ((12, 4), (11, 12), (2, 12), (5, 11), (3, 10), (10, 11), (10, 1))
+        )
+        other = UnrootedTree(5, ((1, 6), (2, 6), (6, 7), (5, 7), (7, 8), (3, 8), (4, 8)))
+        assert tree.canonical == scrambled.canonical
+        assert tree.canonical != other.canonical
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_leaf_one_rooting_agrees_with_min_over_rootings(self, n):
+        # the trees and all their relabelings by cycle-type representatives
+        trees = enumerate_unrooted(n)
+        pool = list(trees)
+        for lam in partitions_of(n):
+            sigma = permutation_of_type(lam, n)
+            pool.extend(t.relabel(sigma) for t in trees)
+        leaf_one = [t.canonical for t in pool]
+        min_over = [min_over_rootings(t) for t in pool]
+        # the two keys induce the same equivalence on the pool
+        assert len(set(leaf_one)) == len(set(min_over)) == len(set(zip(leaf_one, min_over)))
+        assert len(set(leaf_one)) == len(trees)
+
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):
             enumerate_unrooted(9)
@@ -170,6 +213,38 @@ class TestFixCount:
         assert fix_count(trees, (1, 2, 3, 4)) == 3
         # swapping leaves 1,2 fixes the 12|34 quartet and swaps the other two
         assert fix_count(trees, (2, 1, 3, 4)) == 1
+
+
+class TestFixedCounts:
+    @pytest.mark.parametrize("unrooted", [False, True])
+    def test_table_matches_fix_count_on_actual_powers(self, unrooted):
+        for n in range(2 if unrooted else 1, 7):
+            trees = enumerate_unrooted(n) if unrooted else enumerate_rooted(n)
+            table = fixed_counts(n, unrooted)
+            assert set(table) == set(partitions_of(n))
+            assert table[Partition((1,) * n)] == len(trees)
+            for lam in partitions_of(n):
+                sigma = permutation_of_type(lam, n)
+                for m in range(1, 4):
+                    expected = fix_count(trees, power(sigma, m))
+                    assert table[power_type(lam, m)] == expected, (n, lam, m)
+
+    def test_cached_once_per_size_and_kind(self):
+        fixed_counts.cache_clear()
+        first = fixed_counts(5, True)
+        first[Partition((5,))] = -1  # the caller's copy, not the cache
+        assert fixed_counts(5, True)[Partition((5,))] == fix_count(
+            enumerate_unrooted(5), permutation_of_type(Partition((5,)), 5)
+        )
+        info = fixed_counts.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert info.maxsize is not None
+
+    def test_guard(self):
+        with pytest.raises(SizeLimitExceeded):
+            fixed_counts(9, False)
+        with pytest.raises(SizeLimitExceeded):
+            fixed_counts(5, True, limit=4)
 
 
 class TestBurnsideCount:

@@ -163,6 +163,14 @@ class TestZ:
     def test_cycle_types_partition_symmetric_group(self, n):
         assert sum(math.factorial(n) // z(lam) for lam in partitions_of(n)) == math.factorial(n)
 
+    def test_caches_are_bounded(self):
+        # one chain-unordered table asks z of all 5604 partitions of 30
+        z.cache_clear()
+        species.count_table(species.chain_unordered(30), 5)
+        info = z.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize < 5604
+        assert power_type.cache_info().maxsize is not None
+
 
 class TestPowerType:
     def test_examples(self):
