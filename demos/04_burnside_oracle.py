@@ -53,7 +53,7 @@ families = [
 ]
 for fam in families:
     pairs = [
-        (burnside_count(fam, n), count(fam, n, 6))
+        (burnside_count(fam, n), count(fam, n))
         for n in range(fam.min_n, 7)
     ]
     status = "agree" if all(a == b for a, b in pairs) else "DISAGREE"

@@ -25,24 +25,12 @@ from .species import (
     unrooted_tree_cycle_index,
 )
 
-_FAMILY_NAMES = (
-    "rooted-ordered",
-    "rooted-unordered",
-    "unrooted-ordered",
-    "unrooted-unordered",
-    "chain",
-    "chain-unordered",
-)
-
 
 def _resolve_families(names: list[str], k: int) -> list[TanglegramFamily]:
     families = []
     for name in names:
         try:
-            if name in ("chain", "chain-unordered"):
-                families.append(TanglegramFamily(name, k))
-            else:
-                families.append(TanglegramFamily(name))
+            families.append(TanglegramFamily(name, k if species.takes_k(name) else None))
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
     # drop duplicates, keep command-line order
@@ -128,17 +116,9 @@ def cmd_counts(args: argparse.Namespace) -> int:
     for fam in families:
         if max_n < fam.min_n:
             raise _UsageError(f"{fam.label} requires --max-n >= {fam.min_n}")
-        if fam.unrooted:
-            _check_guard("--max-n", max_n, species.UNROOTED_LIMIT, "unrooted")
-        else:
-            _check_guard("--max-n", max_n, species.ROOTED_DP_LIMIT, "rooted")
-        if fam.kind == "chain-unordered":
-            limit = species.chain_parts_limit(max_n)
-            if species.chain_pass_parts(fam.k, limit) > limit:
-                raise _UsageError(
-                    f"--k {fam.k} needs passes with more than {limit} parts in all "
-                    f"to --max-n {max_n}, over the chain-unordered guard"
-                )
+        reason = species.table_guard(fam, max_n)
+        if reason is not None:
+            raise _UsageError(f"{fam.label} to --max-n {max_n}: {reason}")
     rows: Rows = []
     for fam in families:
         table = species.count_table(fam, max_n)
@@ -207,18 +187,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     def n_trees(n: int, unrooted: bool) -> int:
         return oracle.fixed_counts(n, unrooted)[Partition((1,) * n)]
 
-    ok = all(
-        n_trees(n, False) == species.labeled_counts(n)[0] for n in range(1, max_n + 1)
-    )
-    report("rooted-enumeration-count", ok)
-    if max_n >= 2:
-        ok = True
-        for n in range(2, max_n + 1):
-            expected = 1
-            for j in range(3, n + 1):
-                expected *= 2 * j - 5
-            ok = ok and n_trees(n, True) == expected
-        report("unrooted-enumeration-count", ok)
+    for unrooted in (False, True):
+        # an unrooted tree on n leaves is a rooted one on n - 1, hung from leaf n
+        sizes = range(1 + unrooted, max_n + 1)
+        if sizes:
+            ok = all(
+                n_trees(n, unrooted) == species.labeled_counts(n - unrooted)[0]
+                for n in sizes
+            )
+            report(f"{species.TREE_KINDS[unrooted]}-enumeration-count", ok)
 
     # fixed points of every cycle type against the series coefficients
     zr = binary_tree_cycle_index(max_n)
@@ -293,10 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--family",
         action="append",
         required=True,
-        choices=_FAMILY_NAMES,
+        choices=species.FAMILY_KINDS,
         help="family to count (repeatable)",
     )
-    p_counts.add_argument("--k", type=int, default=2, help="chain length (default 2)")
+    p_counts.add_argument(
+        "--k", type=int, default=2, help="number of trees in a chain (default 2)"
+    )
     p_counts.add_argument("--max-n", type=int, required=True, help="largest leaf count")
     p_counts.add_argument(
         "--format", default="table", choices=sorted(_RENDERERS), help="output format"
@@ -305,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_counts.set_defaults(func=cmd_counts)
 
     p_zindex = sub.add_parser("zindex", help="print a cycle-index expansion")
-    p_zindex.add_argument("which", choices=("R", "U"), help="rooted or unrooted trees")
+    p_zindex.add_argument(
+        "which", choices=("R", "U"), help="R for rooted trees, U for unrooted"
+    )
     p_zindex.add_argument("--max-degree", type=int, required=True)
     p_zindex.add_argument("--output", default=None)
     p_zindex.set_defaults(func=cmd_zindex)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .partitions import Partition, partitions_of, power_type, z
-from .species import TanglegramFamily
+from .species import TREE_KINDS, TanglegramFamily
 
 DEFAULT_ENUMERATION_LIMIT = 8
 DEFAULT_BURNSIDE_LIMIT = 7
@@ -261,8 +261,9 @@ def fixed_counts(
     of trees.  Raises SizeLimitExceeded for n > limit.
     """
     if n > limit:
-        kind = "unrooted" if unrooted else "rooted"
-        raise SizeLimitExceeded(f"n = {n} exceeds {kind} enumeration limit {limit}")
+        raise SizeLimitExceeded(
+            f"n = {n} exceeds {TREE_KINDS[unrooted]} enumeration limit {limit}"
+        )
     return dict(_fixed_table(n, unrooted))
 
 
@@ -274,39 +275,29 @@ def burnside_count(
     family: TanglegramFamily, n: int, limit: int = DEFAULT_BURNSIDE_LIMIT
 ) -> int:
     """Orbit count for the family by Burnside's lemma: average over the
-    acting group of the number of fixed tuples of enumerated trees.
+    acting group S_n x G of the number of fixed k-tuples of enumerated trees.
 
-    The group is S_n for ordered families (a k-tuple is fixed iff every
-    entry is) and S_n x S_k for unordered ones, where a coordinate
-    permutation with cycle lengths m contributes prod fix(sigma^m).
-    Permutations are grouped by cycle type with weight n!/z_lam, and
-    fix(sigma^m) is read from `fixed_counts` at the cycle type of sigma^m.
+    Along each cycle of g, of length m, the first entry of a fixed tuple
+    determines the others and must be fixed by sigma^m, so a pair
+    (sigma, g) fixes prod over the cycle lengths m of g of fix(sigma^m)
+    tuples.  Both factors are grouped by cycle type, with n!/z_lam
+    permutations sigma of type lam and family.group_elements(mu) elements
+    g of type mu, and fix(sigma^m) is read from `fixed_counts` at the
+    cycle type of sigma^m.
     """
     if n > limit:
         raise SizeLimitExceeded(f"n = {n} exceeds Burnside limit {limit}")
     if n < family.min_n:
         raise ValueError(f"{family.label} requires n >= {family.min_n}, got {n}")
     fixes = fixed_counts(n, family.unrooted, limit=max(limit, DEFAULT_ENUMERATION_LIMIT))
-    k = family.k if family.k is not None else 2
-    unordered = family.kind in ("rooted-unordered", "unrooted-unordered", "chain-unordered")
-
     n_fact = math.factorial(n)
-    k_fact = math.factorial(k)
     total = 0
-    for lam in partitions_of(n):
-        weight = n_fact // z(lam)
-        if not unordered:
-            total += weight * fixes[lam] ** k
-            continue
-        inner = 0
-        for mu in partitions_of(k):
-            term = k_fact // z(mu)
-            for m in mu.parts:
-                term *= fixes[power_type(lam, m)]
-            inner += term
-        total += weight * inner
-
-    order = n_fact * (math.factorial(k) if unordered else 1)
+    for mu in family.group_types():
+        total += family.group_elements(mu) * sum(
+            n_fact // z(lam) * math.prod(fixes[power_type(lam, m)] for m in mu.parts)
+            for lam in partitions_of(n)
+        )
+    order = n_fact * family.group_order
     if total % order != 0:
         raise ArithmeticError(
             f"Burnside sum {total} not divisible by group order {order}"

@@ -1,27 +1,36 @@
 """Cycle indices of rooted and unrooted binary-tree species, and exact
-counts for the six tanglegram families built from them.
+counts for the tanglegram families built from them.
 
-Every family is a sum over cycle types lam |- n of the leaf permutation:
+A family (TanglegramFamily) is a tree kind plus a group: k trees, rooted
+or unrooted, on one leaf set, and a group G acting on the k trees, the
+identity for ordered families and S_k for unordered ones.  Its count is
+one sum over the cycle types lam |- n of the leaf permutation:
 
-  tangled chain (k)    sum of r_lam^k / z_lam
+  sum over lam of Z_G(a_lam, a_{lam^2}, ...) / z_lam
+
+where a_lam is r_lam or u_lam, the number of labeled rooted or unrooted
+binary trees fixed by a permutation of cycle type lam, lam^j is the cycle
+type of its j-th power, and Z_G is read off G's cycle types mu and the
+number of elements of each.  The six families of FAMILY_KINDS are
+
+  chain (k)            rooted trees, the identity on k trees
   rooted ordered       the chain with k = 2
-  chain unordered (k)  sum of Z_{S_k}(r_lam, r_{lam^2}, ...) / z_lam
+  chain unordered (k)  rooted trees, S_k
   rooted unordered     the unordered chain with k = 2
-  unrooted ordered     sum of u_lam^2 / z_lam
-  unrooted unordered   sum of (u_lam^2 + u_{lam^2}) / (2 z_lam)
+  unrooted ordered     unrooted trees, the identity on 2 trees
+  unrooted unordered   unrooted trees, S_2
 
-where r_lam and u_lam are the numbers of labeled rooted and unrooted
-binary trees fixed by a permutation of cycle type lam and lam^j is the
-cycle type of its j-th power.  r_lam has a product formula (r_closed_form)
-and vanishes unless every part of lam is a power of 2, so the four rooted
-families are computed by count_table's pass over binary partitions.
+r_lam has a product formula (r_closed_form) and vanishes unless every
+part of lam is a power of 2, so count_table sums over binary partitions,
+one pass per group of the mu that need the same pass.
 
 u_lam vanishes unless lam is binary or 3 times a binary partition (and
 lam^2 lies in that support only when lam does), so the unrooted families
 are summed over that support with u_lam from three rules (u_direct): root
 the tree at a fixed leaf, or at a vertex whose three branches the
 permutation rotates, or, for a binary lam with no part 1, read u_lam off
-the dissymmetry decomposition of the unrooted species.
+the dissymmetry decomposition of the unrooted species.  The first rule
+makes the lam with a part 1 the same passes, rooted at that leaf.
 
 No count goes through a series.  The series route stays as the
 independent cross-check: the rooted cycle index solves Z = p_1 + h_2[Z]
@@ -33,12 +42,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .cycle_index import CycleIndexSeries, DegreeOutOfRange, h_series, p1
+from .cycle_index import CycleIndexSeries, h_series, p1
 from .partitions import (
     Partition,
     binary_partitions,
@@ -57,31 +67,82 @@ class NonIntegerCount(ArithmeticError):
     """A count that must be a nonnegative integer is not."""
 
 
-_ROOTED_KINDS = ("rooted-ordered", "rooted-unordered")
-_UNROOTED_KINDS = ("unrooted-ordered", "unrooted-unordered")
-_CHAIN_KINDS = ("chain", "chain-unordered")
+class _Kind(NamedTuple):
+    unrooted: bool  # the trees are unrooted
+    chain: bool  # k trees for a chain length k given with the family, else 2
+    symmetric: bool  # S_k permutes the trees, else only the identity
+
+
+_KINDS = {
+    "rooted-ordered": _Kind(False, False, False),
+    "rooted-unordered": _Kind(False, False, True),
+    "unrooted-ordered": _Kind(True, False, False),
+    "unrooted-unordered": _Kind(True, False, True),
+    "chain": _Kind(False, True, False),
+    "chain-unordered": _Kind(False, True, True),
+}
+FAMILY_KINDS = tuple(_KINDS)
+TREE_KINDS = ("rooted", "unrooted")  # indexed by TanglegramFamily.unrooted
+
+
+def takes_k(kind: str) -> bool:
+    """Whether the family kind takes its number of trees k (a chain length)."""
+    return _KINDS[kind].chain
 
 
 @dataclass(frozen=True)
 class TanglegramFamily:
-    """One of the counted families; chain kinds carry their length k."""
+    """k leaf-labeled binary trees on one leaf set, counted up to
+    relabeling the leaves: a tree kind, rooted or unrooted, plus a group G
+    acting on the k trees, the identity for ordered families and S_k for
+    unordered ones.
+
+    The kind (one of FAMILY_KINDS) names both; the chain kinds carry their
+    length k, the four tanglegram kinds hold two trees.  G is read through
+    its cycle types (group_types), the number of elements of each
+    (group_elements) and its order (group_order)."""
 
     kind: str
     k: int | None = None
 
     def __post_init__(self):
-        if self.kind in _CHAIN_KINDS:
+        spec = _KINDS.get(self.kind)
+        if spec is None:
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        if spec.chain:
             if self.k is None or self.k < 1:
                 raise ValueError(f"{self.kind} requires a chain length k >= 1")
-        elif self.kind in _ROOTED_KINDS + _UNROOTED_KINDS:
-            if self.k is not None:
-                raise ValueError(f"{self.kind} does not take a chain length")
-        else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
+        elif self.k is not None:
+            raise ValueError(f"{self.kind} does not take a chain length")
 
     @property
     def unrooted(self) -> bool:
-        return self.kind in _UNROOTED_KINDS
+        return _KINDS[self.kind].unrooted
+
+    @property
+    def trees(self) -> int:
+        """The number k of trees G acts on."""
+        return 2 if self.k is None else self.k
+
+    def group_types(self) -> Iterator[Partition]:
+        """The cycle types mu |- k of the elements of G, one at a time, so
+        that a caller may stop before S_k's p(k) types are listed."""
+        if _KINDS[self.kind].symmetric:
+            return iter_partitions(self.trees)
+        return iter((Partition((1,) * self.trees),))
+
+    def group_elements(self, mu: Partition) -> int:
+        """The number of elements of G with cycle type mu: k!/z_mu in S_k,
+        and 1, the identity, in the trivial group."""
+        if _KINDS[self.kind].symmetric:
+            return math.factorial(self.trees) // z(mu)
+        return 1
+
+    @property
+    def group_order(self) -> int:
+        if _KINDS[self.kind].symmetric:
+            return math.factorial(self.trees)
+        return 1
 
     @property
     def label(self) -> str:
@@ -112,8 +173,12 @@ def chain_unordered(k: int) -> TanglegramFamily:
 
 # -- cycle indices --------------------------------------------------------
 
+# Each entry holds every term through degree N, and no count reads the
+# series; the CLI asks for one N and the tests reuse a few at a time.
+_SERIES_CACHE = 4
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_SERIES_CACHE)
 def binary_tree_cycle_index(N: int) -> CycleIndexSeries:
     """The unique series Z with zero constant term satisfying
     Z = p_1 + h_2[Z] through degree N, by successive substitution.
@@ -131,7 +196,7 @@ def binary_tree_cycle_index(N: int) -> CycleIndexSeries:
     return zr
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SERIES_CACHE)
 def unrooted_tree_cycle_index(N: int) -> CycleIndexSeries:
     """Cycle index of unrooted binary trees (leaves labeled, internal
     vertices of degree 3), from the dissymmetry decomposition
@@ -300,14 +365,16 @@ def _u_rotated(mu: tuple[int, ...]) -> int:
 
 
 def _no_leaf_sums(max_n: int, ordered: bool) -> list[int]:
-    """Index n holds the sum over binary lam |- n with no part 1 of n!/z_lam
-    times u_lam^2 (ordered) or u_lam^2 + u_{lam^2} (unordered).
+    """Index n holds the sum over the lam |- n with no part 1 in the support
+    of u of n!/z_lam times u_lam^2 (ordered) or u_lam^2 + u_{lam^2}
+    (unordered): the binary lam with no part 1, and the lam = 3 nu.
 
-    Every such lam grows from lam less its largest part, so a walk over
+    Every binary lam grows from lam less its largest part, so a walk over
     them does a constant number of big-integer steps per partition.  lam^2
     grows alongside by two parts of half the size.  Once lam has a part 2,
     lam^2 has parts 1 and u_{lam^2} is r of lam^2 less one of them, the r
-    of a state grown from a single part 1.
+    of a state grown from a single part 1.  The lam = 3 nu are summed one
+    at a time.
     """
     factorials = [math.factorial(n) for n in range(max_n + 1)]
     sums = [0] * (max_n + 1)
@@ -335,16 +402,23 @@ def _no_leaf_sums(max_n: int, ordered: bool) -> list[int]:
             stack.append(
                 (lam.grow(new), square.grow(half).grow(half), z_lam * new * more, new, more, has_two)
             )
+    for n in range(3, max_n + 1, 3):
+        for nu in binary_partitions(n // 3):
+            u = _u_rotated(nu)
+            term = u * u if ordered else u * u + _u_rotated(_square(nu))
+            sums[n] += factorials[n] // _z_binary(nu, 3) * term
     return sums
 
 
 # -- counts ---------------------------------------------------------------
 
 
-def _as_int(total: Fraction, what: str) -> int:
-    if total.denominator != 1:
-        raise NonIntegerCount(f"{what} evaluated to non-integer {total}")
-    return int(total)
+def _divide(total: int, divisor: int, what: str) -> int:
+    """total / divisor, which must be an integer."""
+    value, rest = divmod(total, divisor)
+    if rest:
+        raise NonIntegerCount(f"{what} evaluated to non-integer {Fraction(total, divisor)}")
+    return value
 
 
 # Largest inputs the command line accepts on each path, so that no accepted
@@ -354,18 +428,22 @@ def _as_int(total: Fraction, what: str) -> int:
 ROOTED_DP_LIMIT = 600  # count_table for a rooted family
 SERIES_LIMIT = 40  # anything that solves Z = p_1 + h_2[Z]
 UNROOTED_LIMIT = 300  # count_table for an unrooted family: 46 s for both
-# chain-unordered(k) makes one pass per _pass_key of the mu |- k, and a
-# pass takes about 3e-11 * len(mu) * max_n^4 seconds: 15 s for k = 3 to
-# n = 600 (3 passes, 6 parts in all), 5 s for k = 20 to n = 100 (199
-# passes, 1696 parts), 27 s for k = 30 to n = 100 (769 passes, 9013 parts).
-CHAIN_PARTS_LIMIT = 10_000  # k <= 30; counting them takes 0.2 s or less
-CHAIN_WORK_LIMIT = 2 * 10**12  # parts times max_n^4, about a minute
-
-
-def chain_parts_limit(max_n: int) -> int:
-    """Most parts, summed over its passes, that the command line lets
-    chain-unordered spend to max_n."""
-    return min(CHAIN_PARTS_LIMIT, CHAIN_WORK_LIMIT // max(max_n, 1) ** 4)
+# count_table makes one _fixed_point_table pass per _pass_key of G's cycle
+# types, and a pass whose mu has p parts takes about
+# (PASS_SECONDS + PART_SECONDS * p^1.6) * max_n^4 seconds: the table grows
+# by a factor 2n - 1 per part, and multiplying its entries is superlinear
+# in their length.  Whole tables on the same host, in seconds (model in
+# brackets):
+# chain(10) to n = 600 27 [27], chain(50) to 400 58 [61], chain(100) to
+# 200 11 [11], chain(200) to 200 34 [35], chain(1000) to 100 27 [28],
+# chain-unordered(3) to 600 15 [17], (4) to 600 31 [32], (5) to 600
+# 49 [51], (20) to 150 25 [18], (30) to 100 29 [22].
+PASS_SECONDS = 3e-11
+PART_SECONDS = 4.5e-12
+PASS_SECONDS_LIMIT = 40.0  # under chain-unordered(5) to 600, over (4) and chain(10)
+# The guard lists G's cycle types until the parts of the distinct passes
+# would pass this bound (k <= 30 for S_k), which takes 0.2 s or less.
+PASS_PARTS_LIMIT = 10_000
 
 
 def _two_adic(j: int) -> int:
@@ -401,21 +479,35 @@ def _pass_key(mu: Partition) -> PassKey:
     return g >> _two_adic(g), tuple(sorted(_two_adic(j) for j in mu.parts))
 
 
-def chain_pass_parts(k: int, limit: float = math.inf) -> int:
-    """The parts of the passes count_table makes for chain-unordered(k),
-    one pass per _pass_key of the mu |- k, summed over the passes.  Stops
-    as soon as the sum exceeds limit, so that a large k enumerates few
-    partitions of k."""
+def table_guard(family: TanglegramFamily, max_n: int) -> str | None:
+    """Why the command line refuses count_table(family, max_n), or None.
+
+    max_n is held to the limit of the tree kind.  The pass guard then sums
+    the estimated time of the passes, one per _pass_key of G's cycle types,
+    and their parts.  The types are listed one at a time and the sums
+    checked after each new pass, so that a large k is refused after a few
+    types, without k! or the p(k) types of S_k.
+    """
+    limit = UNROOTED_LIMIT if family.unrooted else ROOTED_DP_LIMIT
+    if max_n > limit:
+        return f"n is over the {TREE_KINDS[family.unrooted]} table guard {limit}"
     keys: set[PassKey] = set()
-    parts = 0
-    for mu in iter_partitions(k):
+    parts, seconds = 0, 0.0
+    for mu in family.group_types():
+        if parts + len(mu) > PASS_PARTS_LIMIT:
+            return (
+                f"its passes would have more than {PASS_PARTS_LIMIT} parts, "
+                "over the pass guard"
+            )
         key = _pass_key(mu)
-        if key not in keys:
-            keys.add(key)
-            parts += len(mu)
-            if parts > limit:
-                break
-    return parts
+        if key in keys:
+            continue
+        keys.add(key)
+        parts += len(mu)
+        seconds += (PASS_SECONDS + PART_SECONDS * len(mu) ** 1.6) * max_n**4
+        if seconds > PASS_SECONDS_LIMIT:
+            return f"its passes would take over {PASS_SECONDS_LIMIT:g} s, the pass guard"
+    return None
 
 
 def _fixed_point_table(
@@ -482,83 +574,48 @@ def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
     """Counts of the family for every n <= max_n: index n holds the count
     with n leaves, and the sizes below family.min_n hold 0.
 
-    A rooted family takes one _fixed_point_table pass per _pass_key of the
-    cycle types mu of the k trees, each mu weighted as in Z_{S_k} (the
-    ordered ones need mu = 1^k only).  An unrooted family sums over the
-    support of u, size by size.
+    n! |G| times the count is the sum over the cycle types mu of G, each
+    weighted by its number of elements, of the sum over lam |- n of
+    n!/z_lam times the product over the parts j of mu of a_{lam^j}, where
+    a is r or u.  One _fixed_point_table pass per _pass_key of the mu gives
+    the rooted sums, and, rooted at a fixed leaf, the unrooted terms of the
+    lam with a part 1 (u_lam is r of lam less that part, and so is each
+    u_{lam^j}).  The unrooted lam with no part 1 come from _no_leaf_sums.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    if family.unrooted:
-        return _unrooted_table(family, max_n)
-    k = family.k or 2
-    if family.kind in ("rooted-ordered", "chain"):
-        order, passes = 1, {(1, (0,) * k): 1}
-    else:
-        order, passes = math.factorial(k), Counter()
-        for mu in iter_partitions(k):
-            passes[_pass_key(mu)] += order // z(mu)
+    leaf = family.unrooted
+    k = family.trees
+    passes: Counter[PassKey] = Counter()
+    for mu in family.group_types():
+        passes[_pass_key(mu)] += family.group_elements(mu)
+    # each table carries 2n - 1 per part of mu, 2n - 3 rooted at a leaf
+    tops = [2 * n - 1 - 2 * leaf for n in range(max_n + 1)]
     totals = [0] * (max_n + 1)
     for (g, valuations), weight in passes.items():
-        sums = _fixed_point_table(g, valuations, max_n)
-        for n in range(1, max_n + 1):
-            totals[n] += weight * sums[n] * (2 * n - 1) ** (k - len(valuations))
-    return [0] + [
-        _as_int(
-            Fraction(totals[n], order * math.factorial(n) * (2 * n - 1) ** k),
-            family.label,
-        )
-        for n in range(1, max_n + 1)
-    ]
-
-
-def _unrooted_table(family: TanglegramFamily, max_n: int) -> list[int]:
-    """n! times the count is the sum over the support of u of n!/z_lam
-    times u_lam^2 (ordered) or (u_lam^2 + u_{lam^2}) / 2 (unordered).
-
-    The lam with a part 1 have u_lam = r of lam less that part, and then
-    u_{lam^2} = r of lam^2 less it, so they take the rooted pass rooted at a
-    leaf: mu = (1, 1) for u_lam^2 and mu = (2,) for u_{lam^2}.  The binary
-    lam with no part 1 come from _no_leaf_sums, and the lam = 3 nu are
-    summed one at a time.
-    """
-    ordered = family.kind == "unrooted-ordered"
-    leaf_pairs = _fixed_point_table(1, (0, 0), max_n, leaf=True)
-    if ordered:
-        leaf_squares = [0] * (max_n + 1)
-    else:
-        leaf_squares = _fixed_point_table(1, (1,), max_n, leaf=True)
-    no_leaf = _no_leaf_sums(max_n, ordered)
+        sums = _fixed_point_table(g, valuations, max_n, leaf)
+        if leaf and len(valuations) % 2:
+            weight = -weight  # the leaf's own factor -1, once per part of mu
+        for n in range(family.min_n, max_n + 1):
+            totals[n] += weight * sums[n] * tops[n] ** (k - len(valuations))
+    if leaf:
+        # _no_leaf_sums counts pairs of trees, as every unrooted family has
+        rest = _no_leaf_sums(max_n, family.group_order == 1)
+        for n in range(family.min_n, max_n + 1):
+            totals[n] += rest[n] * tops[n] ** k
     table = [0] * (max_n + 1)
-    for n in range(2, max_n + 1):
-        n_fact = math.factorial(n)
-        rest = no_leaf[n]
-        for nu in binary_partitions(n // 3) if n % 3 == 0 else ():
-            u = _u_rotated(nu)
-            term = u * u if ordered else u * u + _u_rotated(_square(nu))
-            rest += n_fact // _z_binary(nu, 3) * term
-        # the leaf tables carry 2n - 3 per part of mu, and a sign -1 for (2,)
-        top = 2 * n - 3
-        total = leaf_pairs[n] - top * leaf_squares[n] + rest * top * top
-        table[n] = _as_int(
-            Fraction(total, n_fact * top * top * (1 if ordered else 2)), family.label
-        )
+    for n in range(family.min_n, max_n + 1):
+        divisor = family.group_order * math.factorial(n) * tops[n] ** k
+        table[n] = _divide(totals[n], divisor, family.label)
     return table
 
 
-def count(family: TanglegramFamily, n: int, N: int | None = None) -> int:
+def count(family: TanglegramFamily, n: int) -> int:
     """Number of unlabeled structures of the family with n leaves:
-    count_table(family, n)[n].
-
-    N (default n) is accepted for callers that once passed the series'
-    truncation degree; it must be at least n and changes nothing.
-    """
+    count_table(family, n)[n].  Each call builds the table to n, so a run
+    of sizes is cheaper from one count_table call."""
     if n < family.min_n:
         raise ValueError(f"{family.label} requires n >= {family.min_n}, got {n}")
-    if N is None:
-        N = n
-    if n > N:
-        raise DegreeOutOfRange(f"n = {n} exceeds truncation degree N = {N}")
     return count_table(family, n)[n]
 
 
@@ -582,7 +639,9 @@ def wedderburn_etherington(N: int) -> list[int]:
         if n % 2 == 0:
             s += a[n // 2]
         a[n] = s / 2
-    return [_as_int(c, f"tree count at {i}") for i, c in enumerate(a)]
+    return [
+        _divide(c.numerator, c.denominator, f"tree count at {i}") for i, c in enumerate(a)
+    ]
 
 
 def labeled_counts(n: int) -> tuple[int, int]:

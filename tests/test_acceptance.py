@@ -69,7 +69,7 @@ def clear_series_caches():
 
 def test_criterion_01_unordered_tanglegram_table():
     start = time.perf_counter()
-    got = [count(ROOTED_UNORDERED, n, 11) for n in range(1, 12)]
+    got = [count(ROOTED_UNORDERED, n) for n in range(1, 12)]
     elapsed = time.perf_counter() - start
     report(
         "criterion 1: unordered tanglegrams a_n, n=1..11",
@@ -80,7 +80,7 @@ def test_criterion_01_unordered_tanglegram_table():
 
 def test_criterion_02_unrooted_tanglegram_table():
     start = time.perf_counter()
-    got = [count(UNROOTED_ORDERED, n, 12) for n in range(2, 13)]
+    got = [count(UNROOTED_ORDERED, n) for n in range(2, 13)]
     elapsed = time.perf_counter() - start
     report(
         "criterion 2: unrooted tanglegrams b_n, n=2..12",
@@ -90,7 +90,7 @@ def test_criterion_02_unrooted_tanglegram_table():
 
 
 def test_criterion_03_unrooted_unordered_table():
-    got = [count(UNROOTED_UNORDERED, n, 12) for n in range(2, 13)]
+    got = [count(UNROOTED_UNORDERED, n) for n in range(2, 13)]
     report(
         "criterion 3: unrooted unordered tanglegrams c_n, n=2..12",
         got == UNROOTED_UNORDERED_TABLE,
@@ -136,11 +136,11 @@ def test_criterion_06_oracle_equivalence():
     ok = True
     for fam in families:
         for n in range(fam.min_n, 7):
-            if burnside_count(fam, n) != count(fam, n, 6):
+            if burnside_count(fam, n) != count(fam, n):
                 ok = False
     # the ordered-rooted values, independently from both paths
     by_oracle = [burnside_count(ROOTED_ORDERED, n) for n in range(1, 7)]
-    by_series = [count(ROOTED_ORDERED, n, 6) for n in range(1, 7)]
+    by_series = [count(ROOTED_ORDERED, n) for n in range(1, 7)]
     zr = binary_tree_cycle_index(6)
     by_kronecker = [
         int(zr.kronecker(zr).count_at_degree(n)) for n in range(1, 7)
@@ -234,7 +234,7 @@ def test_criterion_10_performance_envelope():
     start = time.perf_counter()
     totals = {}
     for fam in families:
-        totals[fam.label] = [count(fam, n, 25) for n in range(fam.min_n, 26)]
+        totals[fam.label] = [count(fam, n) for n in range(fam.min_n, 26)]
     elapsed = time.perf_counter() - start
     positive = all(v >= 1 for values in totals.values() for v in values)
     report(

@@ -227,6 +227,26 @@ class TestCounts:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("k, max_n", [(30, 600), (500, 200), (5000, 100), (10**6, 10)])
+    def test_ordered_chain_guard_refuses_before_computing(self, capsys, monkeypatch, k, max_n):
+        def forbidden(*args):
+            raise AssertionError("computed past the guard")
+
+        monkeypatch.setattr(species, "count_table", forbidden)
+        code, _, err = run(
+            capsys, "counts", "--family", "chain", "--k", str(k), "--max-n", str(max_n)
+        )
+        assert code == 2
+        assert "guard" in err and f"chain(k={k})" in err
+
+    @pytest.mark.parametrize("k, max_n", [(1500, 6), (10, 600), (100, 200)])
+    def test_ordered_chain_guard_admits(self, capsys, monkeypatch, k, max_n):
+        monkeypatch.setattr(species, "count_table", lambda fam, max_n: [0] * (max_n + 1))
+        code, _, _ = run(
+            capsys, "counts", "--family", "chain", "--k", str(k), "--max-n", str(max_n)
+        )
+        assert code == 0
+
 
 class TestZindex:
     def test_r_degree_two(self, capsys):

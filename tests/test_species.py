@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -33,8 +35,10 @@ from tanglecount import (
 )
 from tanglecount import species
 from tanglecount import u_direct
+from tanglecount.oracle import cycle_type
 
 P = Partition
+FOUR_KINDS = [ROOTED_ORDERED, ROOTED_UNORDERED, UNROOTED_ORDERED, UNROOTED_UNORDERED]
 
 # printed expansions of the two cycle indices through degree 4
 ZR_GOLDEN = {
@@ -205,6 +209,28 @@ class TestTanglegramFamily:
         assert ROOTED_ORDERED.min_n == 1
         assert UNROOTED_ORDERED.min_n == 2
 
+    def test_group_elements_sum_to_order(self):
+        chains = [f(k) for k in range(1, 7) for f in (chain, chain_unordered)]
+        for fam in FOUR_KINDS + chains:
+            total = sum(fam.group_elements(mu) for mu in fam.group_types())
+            assert total == fam.group_order, fam.label
+
+    def test_symmetric_group_matches_permutation_tally(self):
+        for fam in [ROOTED_UNORDERED, UNROOTED_UNORDERED] + [
+            chain_unordered(k) for k in range(1, 7)
+        ]:
+            tally = Counter(
+                cycle_type(sigma) for sigma in permutations(range(1, fam.trees + 1))
+            )
+            assert {mu: fam.group_elements(mu) for mu in fam.group_types()} == tally
+            assert fam.group_order == math.factorial(fam.trees)
+
+    def test_group_types_are_lazy(self):
+        # S_k for a huge k: the first types come without k! or p(k)
+        types = chain_unordered(10**6).group_types()
+        assert next(types) == P((10**6,))
+        assert len(next(types)) == 2
+
 
 class TestCount:
     def test_spec_examples(self):
@@ -219,41 +245,41 @@ class TestCount:
         zr = binary_tree_cycle_index(8)
         pair = zr.kronecker(zr)
         for n in range(1, 9):
-            assert count(ROOTED_ORDERED, n, 8) == pair.count_at_degree(n)
+            assert count(ROOTED_ORDERED, n) == pair.count_at_degree(n)
 
     def test_chain_one_is_unlabeled_trees(self):
         wet = wedderburn_etherington(10)
         for n in range(1, 11):
-            assert count(chain(1), n, 10) == wet[n]
+            assert count(chain(1), n) == wet[n]
 
     def test_chain_two_matches_pairs(self):
         for n in range(1, 9):
-            assert count(chain(2), n, 8) == count(ROOTED_ORDERED, n, 8)
-            assert count(chain_unordered(2), n, 8) == count(ROOTED_UNORDERED, n, 8)
+            assert count(chain(2), n) == count(ROOTED_ORDERED, n)
+            assert count(chain_unordered(2), n) == count(ROOTED_UNORDERED, n)
 
     def test_involution_bounds(self):
         for n in range(1, 13):
-            ordered = count(ROOTED_ORDERED, n, 12)
-            unordered = count(ROOTED_UNORDERED, n, 12)
+            ordered = count(ROOTED_ORDERED, n)
+            unordered = count(ROOTED_UNORDERED, n)
             assert ordered >= unordered >= Fraction(ordered, 2)
         for n in range(2, 13):
-            ordered = count(UNROOTED_ORDERED, n, 12)
-            unordered = count(UNROOTED_UNORDERED, n, 12)
+            ordered = count(UNROOTED_ORDERED, n)
+            unordered = count(UNROOTED_UNORDERED, n)
             assert ordered >= unordered >= Fraction(ordered, 2)
 
     def test_counts_positive(self):
         for fam in (ROOTED_ORDERED, ROOTED_UNORDERED, UNROOTED_ORDERED,
                     UNROOTED_UNORDERED, chain(4), chain_unordered(4)):
             for n in range(fam.min_n, 10):
-                assert count(fam, n, 9) >= 1
+                assert count(fam, n) >= 1
 
     def test_unrooted_below_two_rejected(self):
         with pytest.raises(ValueError):
-            count(UNROOTED_ORDERED, 1, 5)
+            count(UNROOTED_ORDERED, 1)
 
-    def test_beyond_truncation_rejected(self):
-        with pytest.raises(DegreeOutOfRange):
-            count(ROOTED_ORDERED, 6, 5)
+    def test_count_takes_no_truncation_degree(self):
+        with pytest.raises(TypeError):
+            count(ROOTED_ORDERED, 6, 6)
 
 
 ROOTED_SHAPES = (
@@ -326,7 +352,7 @@ class TestCountTable:
         for fam in (UNROOTED_ORDERED, UNROOTED_UNORDERED):
             table = count_table(fam, 8)
             assert table[:2] == [0, 0]
-            assert table[2:] == [count(fam, n, 8) for n in range(2, 9)]
+            assert table[2:] == [count(fam, n) for n in range(2, 9)]
 
     def test_unrooted_matches_series_route(self):
         # Kronecker square and h_2{.} of Z_U
@@ -357,18 +383,12 @@ class TestCountTable:
         with pytest.raises(ValueError):
             count_table(ROOTED_ORDERED, -1)
 
-    def test_rooted_count_ignores_truncation_degree(self):
-        for fam, _, _ in ROOTED_SHAPES[:4]:
-            assert count(fam, 7) == count(fam, 7, 7) == count(fam, 7, 40)
-
-    def test_unrooted_count_ignores_truncation_degree(self):
-        for fam in (UNROOTED_ORDERED, UNROOTED_UNORDERED):
-            assert count(fam, 9) == count(fam, 9, 9) == count(fam, 9, 40)
-
     def test_chain_pass_parts(self):
-        assert species.chain_pass_parts(3) == 6  # mu = (1,1,1), (2,1), (3)
-        assert species.chain_pass_parts(20) == 1696  # 199 passes for 627 mu
-        assert species.chain_pass_parts(10**6, 100) > 100  # stops early
+        # the 769 passes of k = 30 have 9013 parts, those of k = 31 over 10000
+        assert species.table_guard(chain_unordered(30), 1) is None
+        assert "parts" in species.table_guard(chain_unordered(31), 1)
+        # a single pass over the bound, refused without listing more types
+        assert "parts" in species.table_guard(chain(10**6), 1)
 
 
 class TestWedderburnEtherington:
