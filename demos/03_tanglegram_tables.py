@@ -4,8 +4,9 @@
 A tanglegram is a pair of binary trees sharing a leaf set; variants drop
 the ordering of the pair, unroot the trees, or lengthen the pair to a
 chain of k trees.  All counts are exact integers, summed over the cycle
-types of the leaf permutation with no series: the rooted ones by one pass
-over binary partitions, the unrooted ones over the support of u_lam.
+types of the leaf permutation with no series, by passes over binary
+partitions: the rooted ones with r_lam, the unrooted ones with u_lam on
+its support, the binary partitions and 3 times them.
 """
 
 from tanglecount import (

@@ -235,7 +235,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             got = oracle.burnside_count(fam, n)
             if got != table[n]:
                 ok = False
-                first_bad = f"n={n}: oracle {got} vs series {table[n]}"
+                first_bad = f"n={n}: oracle {got} vs count_table {table[n]}"
                 break
         report(f"burnside-vs-series[{fam.label}]", ok, first_bad)
 

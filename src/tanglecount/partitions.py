@@ -1,7 +1,7 @@
 """Integer partitions and the partition-level statistics that the
 symmetric-function layer is built on: the centralizer order z(lambda),
-power types lambda^k, and multiset union; and the partitions into powers
-of 2 that the fixed-tree counts live on."""
+power types lambda^k, multiset union, and the test for partitions into
+powers of 2."""
 
 from __future__ import annotations
 
@@ -151,26 +151,3 @@ def union(lam: Partition, mu: Partition) -> Partition:
     """Multiset union of parts; realizes p_lam * p_mu = p_{union}."""
     return Partition(tuple(sorted(lam.parts + mu.parts, reverse=True)))
 
-
-def binary_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """The partitions of n into powers of 2, each exactly once, as
-    multiplicity vectors: entry a counts the parts equal to 2^a, and the
-    last entry, for the largest part, is nonzero (n = 0 gives ())."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-
-    def fill(mult: list[int], a: int, rest: int, least: int) -> Iterator[tuple[int, ...]]:
-        # parts 2^a and below make up rest; the larger ones are chosen
-        if a == 0:
-            mult[0] = rest
-            yield tuple(mult)
-            return
-        for m in range(rest >> a, least - 1, -1):
-            mult[a] = m
-            yield from fill(mult, a - 1, rest - (m << a), 0)
-
-    for top in range(n.bit_length() - 1, -1, -1):
-        yield from fill([0] * (top + 1), top, n, 1)

@@ -25,12 +25,15 @@ part of lam is a power of 2, so count_table sums over binary partitions,
 one pass per group of the mu that need the same pass.
 
 u_lam vanishes unless lam is binary or 3 times a binary partition (and
-lam^2 lies in that support only when lam does), so the unrooted families
-are summed over that support with u_lam from three rules (u_direct): root
-the tree at a fixed leaf, or at a vertex whose three branches the
-permutation rotates, or, for a binary lam with no part 1, read u_lam off
-the dissymmetry decomposition of the unrooted species.  The first rule
-makes the lam with a part 1 the same passes, rooted at that leaf.
+lam^2 lies in that support only when lam does), and on that support it
+follows from r by three rules (u_direct): root the tree at a fixed leaf,
+or at a vertex whose three branches the permutation rotates, or, for a
+binary lam with no part 1, read u_lam off the dissymmetry decomposition
+of the unrooted species.  Each rule gives binary-partition passes, so no
+term is summed one lam at a time: the lam with a part 1 are the rooted
+passes, rooted at that leaf; the lam = 3 nu are the rooted passes over
+nu, with a power of 3 per part; and the binary lam with no part 1 are
+one pass that carries sums of products of the dissymmetry terms.
 
 No count goes through a series.  The series route stays as the
 independent cross-check: the rooted cycle index solves Z = p_1 + h_2[Z]
@@ -49,13 +52,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .cycle_index import CycleIndexSeries, h_series, p1
-from .partitions import (
-    Partition,
-    binary_partitions,
-    is_binary_partition,
-    iter_partitions,
-    z,
-)
+from .partitions import Partition, is_binary_partition, iter_partitions, z
 
 
 class NonIntegerCoefficient(ArithmeticError):
@@ -315,7 +312,7 @@ _NO_LEAF_EMPTY = _NoLeaf(0, 0, 0, 0)
 # -- fixed-tree counts on multiplicity vectors ------------------------------
 #
 # A binary partition is written as its multiplicity vector: entry a counts
-# the parts 2^a, and the last entry is nonzero (partitions.binary_partitions).
+# the parts 2^a, and the last entry is nonzero.
 
 
 def _binary_vector(lam: Partition) -> tuple[int, ...]:
@@ -339,22 +336,6 @@ def _r_binary(mult: tuple[int, ...]) -> int:
     return out // (2 * size - 1) if size else 0
 
 
-def _z_binary(mult: tuple[int, ...], scale: int = 1) -> int:
-    """z of the partition with mult[a] parts scale * 2^a."""
-    out = 1
-    for a, m in enumerate(mult):
-        out *= (scale << a) ** m * math.factorial(m)
-    return out
-
-
-def _square(mult: tuple[int, ...]) -> tuple[int, ...]:
-    """lam^2: a part 1 stays, a part 2^a with a >= 1 splits into two 2^(a-1).
-    The same map takes 3 mu to 3 mu^2."""
-    if len(mult) < 2:
-        return mult
-    return (mult[0] + 2 * mult[1],) + tuple(2 * m for m in mult[2:])
-
-
 def _u_rotated(mu: tuple[int, ...]) -> int:
     """u of 3 mu for binary mu.  The permutation rotates the three branches
     at a fixed vertex, and its cube fixes each branch, acting on the leaves
@@ -362,52 +343,6 @@ def _u_rotated(mu: tuple[int, ...]) -> int:
     one of the three thirds of each cycle, and any of the three branches
     could have been the first."""
     return 3 ** (sum(mu) - 1) * _r_binary(mu)
-
-
-def _no_leaf_sums(max_n: int, ordered: bool) -> list[int]:
-    """Index n holds the sum over the lam |- n with no part 1 in the support
-    of u of n!/z_lam times u_lam^2 (ordered) or u_lam^2 + u_{lam^2}
-    (unordered): the binary lam with no part 1, and the lam = 3 nu.
-
-    Every binary lam grows from lam less its largest part, so a walk over
-    them does a constant number of big-integer steps per partition.  lam^2
-    grows alongside by two parts of half the size.  Once lam has a part 2,
-    lam^2 has parts 1 and u_{lam^2} is r of lam^2 less one of them, the r
-    of a state grown from a single part 1.  The lam = 3 nu are summed one
-    at a time.
-    """
-    factorials = [math.factorial(n) for n in range(max_n + 1)]
-    sums = [0] * (max_n + 1)
-    # (lam, lam^2 or lam^2 less a part 1, z_lam, largest part of lam, its
-    # multiplicity, whether lam has a part 2)
-    stack = []
-    for a in range(1, max_n.bit_length()):
-        part = 1 << a
-        if part == 2:
-            square = _NO_LEAF_EMPTY.grow(1)
-        else:
-            square = _NO_LEAF_EMPTY.grow(part >> 1).grow(part >> 1)
-        stack.append((_NO_LEAF_EMPTY.grow(part), square, part, part, 1, part == 2))
-    while stack:
-        lam, square, z_lam, part, times, has_two = stack.pop()
-        u = lam.u()
-        term = u * u
-        if not ordered:
-            term += square.r if has_two else square.u()
-        sums[lam.size] += factorials[lam.size] // z_lam * term
-        for a in range(part.bit_length() - 1, (max_n - lam.size).bit_length()):
-            new = 1 << a
-            more = times + 1 if new == part else 1
-            half = new >> 1
-            stack.append(
-                (lam.grow(new), square.grow(half).grow(half), z_lam * new * more, new, more, has_two)
-            )
-    for n in range(3, max_n + 1, 3):
-        for nu in binary_partitions(n // 3):
-            u = _u_rotated(nu)
-            term = u * u if ordered else u * u + _u_rotated(_square(nu))
-            sums[n] += factorials[n] // _z_binary(nu, 3) * term
-    return sums
 
 
 # -- counts ---------------------------------------------------------------
@@ -423,11 +358,11 @@ def _divide(total: int, divisor: int, what: str) -> int:
 
 # Largest inputs the command line accepts on each path, so that no accepted
 # command runs for much more than a minute.  On a 2-core Xeon vCPU with
-# CPython 3.11 the four rooted tables (k = 3) take 27 s to n = 600, and
-# the series solve for zindex and gf grows about threefold every 5 degrees.
-ROOTED_DP_LIMIT = 600  # count_table for a rooted family
+# CPython 3.11 the four rooted tables (k = 3) take 27 s to n = 600, both
+# unrooted tables 14 s, and the series solve for zindex and gf grows about
+# threefold every 5 degrees.
+TABLE_LIMIT = 600  # count_table for any family
 SERIES_LIMIT = 40  # anything that solves Z = p_1 + h_2[Z]
-UNROOTED_LIMIT = 300  # count_table for an unrooted family: 46 s for both
 # count_table makes one _fixed_point_table pass per _pass_key of G's cycle
 # types, and a pass whose mu has p parts takes about
 # (PASS_SECONDS + PART_SECONDS * p^1.6) * max_n^4 seconds: the table grows
@@ -482,15 +417,14 @@ def _pass_key(mu: Partition) -> PassKey:
 def table_guard(family: TanglegramFamily, max_n: int) -> str | None:
     """Why the command line refuses count_table(family, max_n), or None.
 
-    max_n is held to the limit of the tree kind.  The pass guard then sums
+    max_n is held to TABLE_LIMIT.  The pass guard then sums
     the estimated time of the passes, one per _pass_key of G's cycle types,
     and their parts.  The types are listed one at a time and the sums
     checked after each new pass, so that a large k is refused after a few
     types, without k! or the p(k) types of S_k.
     """
-    limit = UNROOTED_LIMIT if family.unrooted else ROOTED_DP_LIMIT
-    if max_n > limit:
-        return f"n is over the {TREE_KINDS[family.unrooted]} table guard {limit}"
+    if max_n > TABLE_LIMIT:
+        return f"n is over the table guard {TABLE_LIMIT}"
     keys: set[PassKey] = set()
     parts, seconds = 0, 0.0
     for mu in family.group_types():
@@ -511,7 +445,7 @@ def table_guard(family: TanglegramFamily, max_n: int) -> str | None:
 
 
 def _fixed_point_table(
-    g: int, valuations: tuple[int, ...], max_n: int, leaf: bool = False
+    g: int, valuations: tuple[int, ...], max_n: int, leaf: bool = False, rotated: bool = False
 ) -> list[int]:
     """Index n holds n! times the sum over lam |- n of
     prod over parts j of mu of (2n-1) * r_{lam^j}, divided by z_lam, for any
@@ -521,6 +455,12 @@ def _fixed_point_table(
     r_{lam^j} becomes r of lam^j less one part 1, the tree rooted at that
     fixed leaf; the factors below drop by 2, so the largest piece's is
     2n - 3, and the leaf's own is -1, one sign per part of mu (n >= 2).
+
+    With rotated, each part of nu also carries 3^(p - 1), where p, the sum
+    over the parts j of mu of 2^min(a, b) below, counts the parts it leaves
+    in all the nu^j together: the pass then holds the unrooted terms of the
+    lam = 3 nu (g = 1), as z_{3nu} = 3^l(nu) z_nu and
+    u_{3nu^j} = 3^(l(nu^j)-1) r_{nu^j} (see _u_rotated).
 
     The product vanishes unless every lam^j is binary, which holds exactly
     when each part of lam is e * 2^a with e dividing g, the odd part of
@@ -541,11 +481,12 @@ def _fixed_point_table(
     s, a = 1, 0
     while s <= max_n:
         splits = Counter(min(a, b) for b in valuations).items()
+        turns = 3 ** (sum(times << c for c, times in splits) - 1) if rotated else 1
         # pieces[t]: product over the parts j of mu of the factors that one
         # part s of nu adds when t points lie below it
         pieces = []
         for t in range(max_n - s + 1):
-            factor = 1
+            factor = turns
             for c, times in splits:
                 size = s >> c
                 split = 1
@@ -570,6 +511,68 @@ def _fixed_point_table(
     return table
 
 
+def _grow_products(carry: tuple[int, ...], size: int) -> tuple[int, ...]:
+    """The tensor square of _NoLeaf.grow: the sums (SS, Sr, Sh, rr, rh, hh)
+    of the products of two of (splits, r, half) after one more part, over
+    lams of running size size.  Like grow, only size enters."""
+    SS, Sr, Sh, rr, rh, hh = carry
+    a, b, c = 2 * size - 3, 2 * size - 1, 2 * (size - 1)
+    return (
+        a * a * SS + 4 * a * Sr + 2 * a * Sh + 4 * rr + 4 * rh + hh,
+        b * (a * Sr + 2 * rr + rh),
+        c * (a * Sh + 2 * rh + hh),
+        b * b * rr,
+        b * c * rh,
+        c * c * hh,
+    )
+
+
+def _no_leaf_table(max_n: int) -> tuple[list[int], list[int]]:
+    """Two sums over the binary lam |- n with no part 1, for each n <= max_n:
+    n!/z_lam times u_lam^2 (the term of mu = 1^2), and n!/z_lam times
+    u_{lam^2} (the term of mu = (2)).
+
+    One pass over part sizes s = 2, 4, 8, ..., built like
+    _fixed_point_table, carries at each running size the sums, weighted by
+    n!/z_lam, of the six products of two of lam's _NoLeaf entries
+    (_grow_products), from which 9 u^2 = SS + rr + 4hh - 2Sr + 4Sh - 4rh, and
+    of lam^2's _NoLeaf entries, grown by two parts s/2 for each part s:
+    grow is linear in the entries at a fixed size.  A lam^2 with parts 1
+    (lam has a part 2) needs no other rule: from its second part on half
+    vanishes and S - r stays 3 times r of lam^2 less one part 1, so
+    3 u = S - r + 2 half holds on it too.
+
+    The empty lam enters with splits = r = half = -1, the entries that the
+    step at size 0 takes to those of a single part, (0, 1, 2).
+    """
+    # index n: SS, Sr, Sh, rr, rh, hh of lam, then splits, r, half of lam^2
+    table = [(1,) * 6 + (-1,) * 3] + [(0,) * 9] * max_n
+    s = 2
+    while s <= max_n:
+        weights = _cycle_type_weights(s, [1], max_n)
+        grown = table[:]
+        for base in range(max_n - s + 1):
+            carry = table[base]
+            if not any(carry):
+                continue
+            for m in range(1, (max_n - base) // s + 1):
+                size = base + (m - 1) * s
+                square = _NoLeaf(size, *carry[6:]).grow(s >> 1).grow(s >> 1)
+                carry = _grow_products(carry[:6], size) + square[1:]
+                top = base + m * s
+                scale = math.comb(top, base) * weights[m]
+                grown[top] = tuple(x + scale * y for x, y in zip(grown[top], carry))
+        table = grown
+        s *= 2
+    squares, powers = [0] * (max_n + 1), [0] * (max_n + 1)
+    for n in range(2, max_n + 1):
+        SS, Sr, Sh, rr, rh, hh, splits, r, half = table[n]
+        nine_u2 = SS + rr + 4 * hh - 2 * Sr + 4 * Sh - 4 * rh
+        squares[n] = _divide(nine_u2, 9, f"sum of u_lam^2 at {n}")
+        powers[n] = _divide(splits - r + 2 * half, 3, f"sum of u_(lam^2) at {n}")
+    return squares, powers
+
+
 def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
     """Counts of the family for every n <= max_n: index n holds the count
     with n leaves, and the sizes below family.min_n hold 0.
@@ -578,9 +581,11 @@ def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
     weighted by its number of elements, of the sum over lam |- n of
     n!/z_lam times the product over the parts j of mu of a_{lam^j}, where
     a is r or u.  One _fixed_point_table pass per _pass_key of the mu gives
-    the rooted sums, and, rooted at a fixed leaf, the unrooted terms of the
-    lam with a part 1 (u_lam is r of lam less that part, and so is each
-    u_{lam^j}).  The unrooted lam with no part 1 come from _no_leaf_sums.
+    the rooted sums.  An unrooted family, a pair of trees, sums u over its
+    support in three pieces for each pass key: a pass rooted at a fixed
+    leaf for the lam with a part 1 (u_lam is r of lam less that part, and
+    so is each u_{lam^j}), _no_leaf_table for the other binary lam, read by
+    mu, and a rotated pass to max_n/3 for the lam = 3 nu.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -592,17 +597,27 @@ def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
     # each table carries 2n - 1 per part of mu, 2n - 3 rooted at a leaf
     tops = [2 * n - 1 - 2 * leaf for n in range(max_n + 1)]
     totals = [0] * (max_n + 1)
-    for (g, valuations), weight in passes.items():
-        sums = _fixed_point_table(g, valuations, max_n, leaf)
-        if leaf and len(valuations) % 2:
-            weight = -weight  # the leaf's own factor -1, once per part of mu
-        for n in range(family.min_n, max_n + 1):
-            totals[n] += weight * sums[n] * tops[n] ** (k - len(valuations))
     if leaf:
-        # _no_leaf_sums counts pairs of trees, as every unrooted family has
-        rest = _no_leaf_sums(max_n, family.group_order == 1)
+        # the binary lam with no part 1, by the valuations of mu = 1^2, (2)
+        no_leaf = dict(zip([(0, 0), (1,)], _no_leaf_table(max_n)))
+    for (g, valuations), weight in passes.items():
+        parts = len(valuations)
+        sums = _fixed_point_table(g, valuations, max_n, leaf)
+        sign = -1 if leaf and parts % 2 else 1  # the leaf's own factor -1 per part of mu
         for n in range(family.min_n, max_n + 1):
-            totals[n] += rest[n] * tops[n] ** k
+            totals[n] += sign * weight * sums[n] * tops[n] ** (k - parts)
+        if not leaf:
+            continue
+        rest = no_leaf[valuations]
+        for n in range(family.min_n, max_n + 1):
+            totals[n] += weight * rest[n] * tops[n] ** k
+        # with z_{3nu} = 3^l(nu) z_nu and u_{3nu^j} = 3^(l(nu^j)-1) r_{nu^j},
+        # the rotated pass at m is m!/n! times the sum at n = 3m times
+        # (3 (2m - 1))^l(mu), and 3 (2m - 1) = tops[n]
+        rotated = _fixed_point_table(g, valuations, max_n // 3, rotated=True)
+        for m in range(1, max_n // 3 + 1):
+            n = 3 * m
+            totals[n] += weight * math.perm(n, 2 * m) * rotated[m] * tops[n] ** (k - parts)
     table = [0] * (max_n + 1)
     for n in range(family.min_n, max_n + 1):
         divisor = family.group_order * math.factorial(n) * tops[n] ** k

@@ -179,9 +179,9 @@ class TestCounts:
     @pytest.mark.parametrize(
         "family, max_n",
         [
-            ("unrooted-ordered", species.UNROOTED_LIMIT + 1),
+            ("unrooted-ordered", species.TABLE_LIMIT + 1),
             ("unrooted-unordered", 10_000),
-            ("rooted-ordered", species.ROOTED_DP_LIMIT + 1),
+            ("rooted-ordered", species.TABLE_LIMIT + 1),
             ("chain-unordered", 10_000),
         ],
     )
@@ -201,7 +201,7 @@ class TestCounts:
     def test_unrooted_guard_admits_its_limit(self, capsys, monkeypatch, family):
         monkeypatch.setattr(species, "count_table", lambda fam, max_n: [0] * (max_n + 1))
         code, _, _ = run(
-            capsys, "counts", "--family", family, "--max-n", str(species.UNROOTED_LIMIT)
+            capsys, "counts", "--family", family, "--max-n", str(species.TABLE_LIMIT)
         )
         assert code == 0
 

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
+from helpers import binary_partitions, from_vector
 from tanglecount import partitions, species
 from tanglecount.partitions import (
     Partition,
-    binary_partitions,
     is_binary_partition,
     iter_partitions,
     partitions_of,
@@ -128,10 +128,6 @@ class TestIterPartitions:
 # b(0)..b(20), partitions into powers of 2
 BINARY_PARTITION_NUMBERS = [1, 1, 2, 2, 4, 4, 6, 6, 10, 10, 14, 14, 20, 20, 26,
                             26, 36, 36, 46, 46, 60]
-
-
-def from_vector(mult):
-    return Partition(tuple(1 << a for a in reversed(range(len(mult))) for _ in range(mult[a])))
 
 
 class TestBinaryPartitions:

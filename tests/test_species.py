@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from helpers import series
+from helpers import binary_partitions, from_vector, series
 from tanglecount import (
     ROOTED_ORDERED,
     ROOTED_UNORDERED,
@@ -305,6 +305,22 @@ def restricted_support_count(k, unordered, n):
     return total
 
 
+def unrooted_support_sum(n, unordered):
+    """The unrooted cycle-type sum written out over the support of u: the
+    binary partitions of n and 3 times those of n/3, one lam at a time, with
+    each u from u_direct."""
+    support = [from_vector(mult) for mult in binary_partitions(n)]
+    if n % 3 == 0:
+        support += [from_vector(mult, 3) for mult in binary_partitions(n // 3)]
+    total = 0
+    for lam in support:
+        term = u_direct(lam) ** 2
+        if unordered:
+            term += u_direct(power_type(lam, 2))
+        total += math.factorial(n) // z(lam) * term
+    return Fraction(total, math.factorial(n) * (2 if unordered else 1))
+
+
 class TestCountTable:
     def test_matches_series_route(self):
         # Kronecker powers of Z_R for tuples, h_k{Z_R} for multisets
@@ -366,6 +382,13 @@ class TestCountTable:
             assert ordered_table[n] == pairs.count_at_degree(n), n
             assert unordered_table[n] == unordered.count_at_degree(n), n
 
+    def test_unrooted_matches_support_sum(self):
+        # 8552 lam at n = 96, and none of the form 3 nu at 61
+        for fam, unordered in ((UNROOTED_ORDERED, False), (UNROOTED_UNORDERED, True)):
+            for n in (61, 96):
+                assert count_table(fam, n)[n] == unrooted_support_sum(n, unordered), (
+                    fam.label, n)
+
     def test_unrooted_involution_bounds_at_60(self):
         ordered = count_table(UNROOTED_ORDERED, 60)
         unordered = count_table(UNROOTED_UNORDERED, 60)
@@ -389,6 +412,27 @@ class TestCountTable:
         assert "parts" in species.table_guard(chain_unordered(31), 1)
         # a single pass over the bound, refused without listing more types
         assert "parts" in species.table_guard(chain(10**6), 1)
+
+
+class TestUnrootedAtTheGuard:
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return count_table(UNROOTED_ORDERED, 300), count_table(UNROOTED_UNORDERED, 300)
+
+    def test_involution_bounds(self, tables):
+        ordered, unordered = tables
+        for n in range(2, 301):
+            assert ordered[n] >= unordered[n] >= Fraction(ordered[n], 2), n
+
+    def test_asymptotic_window(self, tables):
+        # Billey, Konvalinka & Matsen: n! t_n / ((2n-5)!!)^2 tends to e^(1/8),
+        # about 0.57/n above it; a wrong factor on any class of lam with O(1)
+        # weight (1^n, 2 1^(n-2), ...) would move n times the gap off
+        ordered, _ = tables
+        for n in (100, 200, 300):
+            trees = math.prod(range(1, 2 * n - 4, 2))
+            gap = math.factorial(n) * ordered[n] / trees**2 - math.exp(1 / 8)
+            assert 0.55 <= n * gap <= 0.60, n
 
 
 class TestWedderburnEtherington:
