@@ -28,7 +28,6 @@ from .cycle_index import (
 )
 from .oracle import (
     SizeLimitExceeded,
-    UnrootedTree,
     burnside_count,
     enumerate_rooted,
     enumerate_unrooted,
@@ -79,7 +78,6 @@ __all__ = [
     "TanglegramFamily",
     "UNROOTED_ORDERED",
     "UNROOTED_UNORDERED",
-    "UnrootedTree",
     "binary_tree_cycle_index",
     "burnside_count",
     "chain",

@@ -2,28 +2,36 @@
 rooted and unrooted binary trees, permutation fixed-point counts, and
 Burnside orbit counts for every tanglegram family.
 
-Rooted trees are nested tuples: a leaf is its integer label, an internal
-vertex is a pair of subtrees kept in a canonical order, so structural
-equality is isomorphism of labeled trees.  An unrooted tree is compared
-through its encoding rooted at leaf 1's only edge: leaves are labeled,
-so leaf 1 is already a canonical root and one encoding takes the place
-of the minimum over all 2n - 3 edge rootings.
+A tree is the sorted tuple of its leaf sets, each an integer bitmask
+with leaf i as bit i - 1.  A rooted tree on [n] holds its n - 1 internal
+clusters (the leaf sets below each internal vertex), the full set last.
+An unrooted tree on [n] holds its n - 3 non-trivial splits, each written
+as the side without leaf 1; hanging the tree from leaf 1 makes these the
+internal clusters, less the full set {2..n}, of a rooted tree on leaves
+2..n.  A binary tree is determined by its clusters, and an unrooted one
+by its splits, so equal tuples are equal labeled trees, and a
+permutation sigma fixes a tree iff it maps each of its sets onto one of
+its sets.  `fix_count` builds the image of every mask under sigma once,
+taking a side that gains leaf 1 to its complement for unrooted trees
+(told apart by their n - 3 splits against n - 1 clusters), and tests
+each tree by lookups.  A sorted tuple, not a frozenset, holds the sets
+because it takes about a ninth of the memory (88 against 728 bytes for
+six sets), and there are 10395 rooted trees at n = 7.
 
 The fixed-point counts depend only on the cycle type of a permutation,
-so `fixed_counts(n, unrooted)` enumerates the trees once and counts, by
-relabeling and comparing, the trees fixed by one representative of each
-type.  The table (p(n) integers, never the trees) is cached per
-(n, tree kind), and every Burnside sum and `verify` check reads it; a
-power sigma^m is looked up by its cycle type, since conjugate
-permutations fix equally many trees.  Everything here is meant for n up
-to about 8; the symbolic path is the production path.
+so `fixed_counts(n, unrooted)` enumerates the trees once and counts the
+trees fixed by one representative of each type.  The table (p(n)
+integers, never the trees) is cached per (n, tree kind), and every
+Burnside sum and `verify` check reads it; a power sigma^m is looked up
+by its cycle type, since conjugate permutations fix equally many trees.
+Everything here is meant for n up to about 8; the symbolic path is the
+production path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .partitions import Partition, partitions_of, power_type, z
 from .species import TREE_KINDS, TanglegramFamily
@@ -31,150 +39,53 @@ from .species import TREE_KINDS, TanglegramFamily
 DEFAULT_ENUMERATION_LIMIT = 8
 DEFAULT_BURNSIDE_LIMIT = 7
 
-RootedTree = int | tuple  # leaf label, or canonical (left, right) pair
+Tree = tuple[int, ...]  # sorted internal clusters (rooted) or splits (unrooted)
 
 
 class SizeLimitExceeded(ValueError):
     """Requested n is beyond the configured brute-force guard."""
 
 
-# -- rooted trees ---------------------------------------------------------
+# -- trees ----------------------------------------------------------------
 
 
-def _sort_key(tree: RootedTree):
-    # tags keep leaf/node encodings comparable at every nesting level
-    if isinstance(tree, int):
-        return (0, tree)
-    return (1, _sort_key(tree[0]), _sort_key(tree[1]))
+def _grow(first: int, n: int) -> list[Tree]:
+    """Every binary tree on leaves first..n, as its sorted internal
+    clusters, each once: insert leaves first+1..n in turn above any
+    vertex c, so that every cluster strictly containing c gains the new
+    leaf and c plus the new leaf becomes a cluster."""
+    trees: list[Tree] = [()]
+    for leaf in range(first + 1, n + 1):
+        b = 1 << (leaf - 1)
+        leaves = [1 << (i - 1) for i in range(first, leaf)]
+        trees = [
+            tuple(sorted([*(x | b if x & c == c and x != c else x for x in t), c | b]))
+            for t in trees
+            for c in (*t, *leaves)
+        ]
+    return trees
 
 
-def node(left: RootedTree, right: RootedTree) -> tuple:
-    """Join two subtrees under a new root, children canonically ordered."""
-    if _sort_key(left) <= _sort_key(right):
-        return (left, right)
-    return (right, left)
-
-
-def _rebuild(tree: RootedTree, leaf_map) -> tuple[RootedTree, tuple]:
-    # returns (tree, key); sharing child keys keeps rebuilds linear in size
-    if isinstance(tree, int):
-        new = leaf_map(tree)
-        return new, (0, new)
-    left, key_left = _rebuild(tree[0], leaf_map)
-    right, key_right = _rebuild(tree[1], leaf_map)
-    if key_left <= key_right:
-        return (left, right), (1, key_left, key_right)
-    return (right, left), (1, key_right, key_left)
-
-
-def canonicalize(tree: RootedTree) -> RootedTree:
-    """Canonical form; idempotent, equal forms iff isomorphic as labeled trees."""
-    return _rebuild(tree, lambda label: label)[0]
-
-
-def relabel(tree: RootedTree, sigma: tuple[int, ...]) -> RootedTree:
-    """Apply the leaf relabeling i -> sigma[i-1], re-canonicalizing."""
-    return _rebuild(tree, lambda label: sigma[label - 1])[0]
-
-
-def leaf_labels(tree: RootedTree) -> set[int]:
-    if isinstance(tree, int):
-        return {tree}
-    return leaf_labels(tree[0]) | leaf_labels(tree[1])
-
-
-def _insertions(tree: RootedTree, leaf: int):
-    # attach the new leaf above the root or along any internal position
-    yield node(tree, leaf)
-    if not isinstance(tree, int):
-        left, right = tree
-        for new_left in _insertions(left, leaf):
-            yield node(new_left, right)
-        for new_right in _insertions(right, leaf):
-            yield node(left, new_right)
-
-
-def enumerate_rooted(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[RootedTree]:
-    """All binary trees on leaf set {1..n}, each once, canonical;
-    (2n-3)!! of them for n > 1."""
+def enumerate_rooted(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Tree]:
+    """All binary trees on leaf set {1..n}, each once, as sorted tuples of
+    internal clusters, the full set last; (2n-3)!! of them for n > 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > limit:
         raise SizeLimitExceeded(f"n = {n} exceeds rooted enumeration limit {limit}")
-    trees: list[RootedTree] = [1]
-    for leaf in range(2, n + 1):
-        trees = [grown for t in trees for grown in _insertions(t, leaf)]
-    return trees
+    return _grow(1, n)
 
 
-# -- unrooted trees -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnrootedTree:
-    """Unrooted binary tree: leaves carry labels 1..n_leaves, internal
-    vertices (ids above n_leaves) all have degree 3."""
-
-    n_leaves: int
-    edges: tuple[tuple[int, int], ...]
-
-    def _adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {}
-        for u, v in self.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        return adj
-
-    def _encode_from(self, vertex: int, parent: int, adj) -> tuple:
-        if vertex <= self.n_leaves:
-            return (0, vertex)
-        children = sorted(
-            self._encode_from(w, vertex, adj) for w in adj[vertex] if w != parent
-        )
-        return (1, children[0], children[1])
-
-    @cached_property
-    def canonical(self) -> tuple:
-        """Encoding of the tree rooted at leaf 1's only edge: equal for two
-        trees iff they are the same labeled tree, and invariant under
-        renaming internal ids and reordering edges."""
-        adj = self._adjacency()
-        (hub,) = adj[1]
-        return self._encode_from(hub, 1, adj)
-
-    def relabel(self, sigma: tuple[int, ...]) -> "UnrootedTree":
-        """Apply the leaf relabeling i -> sigma[i-1]; internal ids unchanged."""
-
-        def m(v: int) -> int:
-            return sigma[v - 1] if v <= self.n_leaves else v
-
-        edges = tuple(tuple(sorted((m(u), m(v)))) for u, v in self.edges)
-        return UnrootedTree(self.n_leaves, edges)
-
-
-def enumerate_unrooted(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[UnrootedTree]:
-    """All unrooted binary trees on leaf set {1..n}, each once, built by
-    repeatedly subdividing an edge with a new leaf; (2n-5)!! of them for
-    n >= 3, one (the single edge) for n = 2."""
+def enumerate_unrooted(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Tree]:
+    """All unrooted binary trees on leaf set {1..n}, each once, as sorted
+    tuples of non-trivial splits: the rooted trees on leaves 2..n less
+    their last cluster, the full one; (2n-5)!! of them for n >= 3, one
+    (no splits) for n = 2."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if n > limit:
         raise SizeLimitExceeded(f"n = {n} exceeds unrooted enumeration limit {limit}")
-    trees = [UnrootedTree(n, ((1, 2),))]
-    next_internal = n + 1
-    for leaf in range(3, n + 1):
-        grown = []
-        for t in trees:
-            for i, (u, v) in enumerate(t.edges):
-                others = t.edges[:i] + t.edges[i + 1:]
-                w = next_internal
-                new_edges = others + tuple(
-                    tuple(sorted(e)) for e in ((u, w), (v, w), (leaf, w))
-                )
-                grown.append(UnrootedTree(n, tuple(sorted(new_edges))))
-        trees = grown
-        next_internal += 1
-    return trees
+    return [t[:-1] for t in _grow(2, n)]
 
 
 # -- permutations ---------------------------------------------------------
@@ -221,19 +132,27 @@ def compose(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
 # -- fixed points and Burnside counts --------------------------------------
 
 
-def fix_count(trees: list, sigma: tuple[int, ...]) -> int:
-    """Number of enumerated trees unchanged by the leaf relabeling sigma;
-    depends only on the cycle type of sigma."""
-    count = 0
-    if trees and isinstance(trees[0], UnrootedTree):
-        for t in trees:
-            if t.relabel(sigma).canonical == t.canonical:
-                count += 1
-    else:
-        for t in trees:
-            if relabel(t, sigma) == t:
-                count += 1
-    return count
+def fix_count(trees: list[Tree], sigma: tuple[int, ...]) -> int:
+    """Number of enumerated trees, all rooted or all unrooted, unchanged by
+    the leaf relabeling sigma; depends only on the cycle type of sigma."""
+    n = len(sigma)
+    img = [0] * (1 << n)
+    for i, j in enumerate(sigma):
+        img[1 << i] = 1 << (j - 1)
+    for m in range(1, 1 << n):
+        low = m & -m
+        img[m] = img[m ^ low] | img[low]
+    # a rooted tree on n leaves has n - 1 clusters, an unrooted one fewer
+    if trees and len(trees[0]) < n - 1:
+        # a split is written as its side without leaf 1
+        full = (1 << n) - 1
+        img = [m ^ full if m & 1 else m for m in img]
+    # fixed iff every set's image is again one of its sets; one filter per
+    # position drops each tree at its first miss
+    fixed = trees
+    for k in range(len(trees[0]) if trees else 0):
+        fixed = [t for t in fixed if img[t[k]] in t]
+    return len(fixed)
 
 
 # One table per (n, tree kind) up to the enumeration guard; each holds p(n)

@@ -527,7 +527,10 @@ def _grow_products(carry: tuple[int, ...], size: int) -> tuple[int, ...]:
     )
 
 
-def _no_leaf_table(max_n: int) -> tuple[list[int], list[int]]:
+# Both unrooted families of one run read the same pass; tuples, so that no
+# caller can change the cached sums.
+@lru_cache(maxsize=1)
+def _no_leaf_table(max_n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two sums over the binary lam |- n with no part 1, for each n <= max_n:
     n!/z_lam times u_lam^2 (the term of mu = 1^2), and n!/z_lam times
     u_{lam^2} (the term of mu = (2)).
@@ -570,7 +573,7 @@ def _no_leaf_table(max_n: int) -> tuple[list[int], list[int]]:
         nine_u2 = SS + rr + 4 * hh - 2 * Sr + 4 * Sh - 4 * rh
         squares[n] = _divide(nine_u2, 9, f"sum of u_lam^2 at {n}")
         powers[n] = _divide(splits - r + 2 * half, 3, f"sum of u_(lam^2) at {n}")
-    return squares, powers
+    return tuple(squares), tuple(powers)
 
 
 def count_table(family: TanglegramFamily, max_n: int) -> list[int]:

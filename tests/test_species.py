@@ -389,6 +389,18 @@ class TestCountTable:
                 assert count_table(fam, n)[n] == unrooted_support_sum(n, unordered), (
                     fam.label, n)
 
+    def test_unrooted_families_share_the_no_leaf_pass(self):
+        species._no_leaf_table.cache_clear()
+        ordered = count_table(UNROOTED_ORDERED, 30)
+        unordered = count_table(UNROOTED_UNORDERED, 30)
+        info = species._no_leaf_table.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
+        # the cached sums are tuples, so no caller can change them
+        assert all(isinstance(sums, tuple) for sums in species._no_leaf_table(30))
+        for n in range(2, 31):
+            assert ordered[n] == unrooted_support_sum(n, False), n
+            assert unordered[n] == unrooted_support_sum(n, True), n
+
     def test_unrooted_involution_bounds_at_60(self):
         ordered = count_table(UNROOTED_ORDERED, 60)
         unordered = count_table(UNROOTED_UNORDERED, 60)
