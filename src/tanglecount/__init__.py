@@ -17,13 +17,11 @@ from .cycle_index import (
     CycleIndexSeries,
     DegreeOutOfRange,
     NonZeroConstantTerm,
-    count_at_degree,
     h_series,
     inner_plethysm_hn,
     inner_plethysm_pk,
     monomial,
     p1,
-    unlabeled_gf,
     zero_series,
 )
 from .oracle import (
@@ -83,7 +81,6 @@ __all__ = [
     "chain",
     "chain_unordered",
     "count",
-    "count_at_degree",
     "count_table",
     "enumerate_rooted",
     "enumerate_unrooted",
@@ -101,7 +98,6 @@ __all__ = [
     "r_closed_form",
     "r_coefficient",
     "u_direct",
-    "unlabeled_gf",
     "union",
     "unrooted_tree_cycle_index",
     "wedderburn_etherington",

@@ -321,13 +321,3 @@ def inner_plethysm_hn(n: int, g: CycleIndexSeries) -> CycleIndexSeries:
         total = total + prod * Fraction(1, z(mu))
     return total
 
-
-# -- module-level forms of the coefficient readers ----------------------
-
-
-def unlabeled_gf(f: CycleIndexSeries) -> list[Fraction]:
-    return f.unlabeled_gf()
-
-
-def count_at_degree(f: CycleIndexSeries, n: int) -> Fraction:
-    return f.count_at_degree(n)

@@ -24,8 +24,11 @@ trees fixed by one representative of each type.  The table (p(n)
 integers, never the trees) is cached per (n, tree kind), and every
 Burnside sum and `verify` check reads it; a power sigma^m is looked up
 by its cycle type, since conjugate permutations fix equally many trees.
-Everything here is meant for n up to about 8; the symbolic path is the
-production path.
+
+Everything here is desk-scale, with fixed guards: the enumerators and
+`fixed_counts` raise SizeLimitExceeded for n > ENUMERATION_LIMIT = 8,
+and `burnside_count` for n > BURNSIDE_LIMIT = 7.  The symbolic path is
+the production path.
 """
 
 from __future__ import annotations
@@ -34,16 +37,16 @@ import math
 from functools import lru_cache
 
 from .partitions import Partition, partitions_of, power_type, z
-from .species import TREE_KINDS, TanglegramFamily
+from .species import TanglegramFamily
 
-DEFAULT_ENUMERATION_LIMIT = 8
-DEFAULT_BURNSIDE_LIMIT = 7
+ENUMERATION_LIMIT = 8
+BURNSIDE_LIMIT = 7
 
 Tree = tuple[int, ...]  # sorted internal clusters (rooted) or splits (unrooted)
 
 
 class SizeLimitExceeded(ValueError):
-    """Requested n is beyond the configured brute-force guard."""
+    """Requested n is beyond a brute-force guard."""
 
 
 # -- trees ----------------------------------------------------------------
@@ -66,25 +69,31 @@ def _grow(first: int, n: int) -> list[Tree]:
     return trees
 
 
-def enumerate_rooted(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Tree]:
+def enumerate_rooted(n: int) -> list[Tree]:
     """All binary trees on leaf set {1..n}, each once, as sorted tuples of
-    internal clusters, the full set last; (2n-3)!! of them for n > 1."""
+    internal clusters, the full set last; (2n-3)!! of them for n > 1.
+    Raises SizeLimitExceeded for n > ENUMERATION_LIMIT."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > limit:
-        raise SizeLimitExceeded(f"n = {n} exceeds rooted enumeration limit {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise SizeLimitExceeded(
+            f"n = {n} exceeds rooted enumeration limit {ENUMERATION_LIMIT}"
+        )
     return _grow(1, n)
 
 
-def enumerate_unrooted(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Tree]:
+def enumerate_unrooted(n: int) -> list[Tree]:
     """All unrooted binary trees on leaf set {1..n}, each once, as sorted
     tuples of non-trivial splits: the rooted trees on leaves 2..n less
     their last cluster, the full one; (2n-5)!! of them for n >= 3, one
-    (no splits) for n = 2."""
+    (no splits) for n = 2.  Raises SizeLimitExceeded for
+    n > ENUMERATION_LIMIT."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n > limit:
-        raise SizeLimitExceeded(f"n = {n} exceeds unrooted enumeration limit {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise SizeLimitExceeded(
+            f"n = {n} exceeds unrooted enumeration limit {ENUMERATION_LIMIT}"
+        )
     return [t[:-1] for t in _grow(2, n)]
 
 
@@ -156,33 +165,25 @@ def fix_count(trees: list[Tree], sigma: tuple[int, ...]) -> int:
 
 
 # One table per (n, tree kind) up to the enumeration guard; each holds p(n)
-# integers, the trees themselves are dropped once counted.  The guard is
-# checked by fixed_counts, so that it stays out of the cache key.
-@lru_cache(maxsize=2 * (DEFAULT_ENUMERATION_LIMIT + 1))
+# integers, the trees themselves are dropped once counted.  The enumerators
+# raise past the guard, and lru_cache caches no exception.
+@lru_cache(maxsize=2 * (ENUMERATION_LIMIT + 1))
 def _fixed_table(n: int, unrooted: bool) -> tuple[tuple[Partition, int], ...]:
-    if unrooted:
-        trees = enumerate_unrooted(n, limit=n)
-    else:
-        trees = enumerate_rooted(n, limit=n)
+    trees = enumerate_unrooted(n) if unrooted else enumerate_rooted(n)
     return tuple(
         (lam, fix_count(trees, permutation_of_type(lam, n))) for lam in partitions_of(n)
     )
 
 
-def fixed_counts(
-    n: int, unrooted: bool, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> dict[Partition, int]:
+def fixed_counts(n: int, unrooted: bool) -> dict[Partition, int]:
     """Map each cycle type lam |- n to the number of enumerated labeled
     trees (unrooted or rooted) fixed by a permutation of type lam.
 
     The trees are enumerated once per (n, kind) and the counts cached;
     the identity type 1^n fixes every tree, so its entry is the number
-    of trees.  Raises SizeLimitExceeded for n > limit.
+    of trees.  The dict is the caller's own copy.  Raises
+    SizeLimitExceeded for n > ENUMERATION_LIMIT.
     """
-    if n > limit:
-        raise SizeLimitExceeded(
-            f"n = {n} exceeds {TREE_KINDS[unrooted]} enumeration limit {limit}"
-        )
     return dict(_fixed_table(n, unrooted))
 
 
@@ -190,9 +191,7 @@ fixed_counts.cache_clear = _fixed_table.cache_clear  # type: ignore[attr-defined
 fixed_counts.cache_info = _fixed_table.cache_info  # type: ignore[attr-defined]
 
 
-def burnside_count(
-    family: TanglegramFamily, n: int, limit: int = DEFAULT_BURNSIDE_LIMIT
-) -> int:
+def burnside_count(family: TanglegramFamily, n: int) -> int:
     """Orbit count for the family by Burnside's lemma: average over the
     acting group S_n x G of the number of fixed k-tuples of enumerated trees.
 
@@ -202,19 +201,21 @@ def burnside_count(
     tuples.  Both factors are grouped by cycle type, with n!/z_lam
     permutations sigma of type lam and family.group_elements(mu) elements
     g of type mu, and fix(sigma^m) is read from `fixed_counts` at the
-    cycle type of sigma^m.
+    cycle type of sigma^m.  Raises SizeLimitExceeded for
+    n > BURNSIDE_LIMIT.
     """
-    if n > limit:
-        raise SizeLimitExceeded(f"n = {n} exceeds Burnside limit {limit}")
+    if n > BURNSIDE_LIMIT:
+        raise SizeLimitExceeded(f"n = {n} exceeds Burnside limit {BURNSIDE_LIMIT}")
     if n < family.min_n:
         raise ValueError(f"{family.label} requires n >= {family.min_n}, got {n}")
-    fixes = fixed_counts(n, family.unrooted, limit=max(limit, DEFAULT_ENUMERATION_LIMIT))
+    fixes = fixed_counts(n, family.unrooted)
     n_fact = math.factorial(n)
+    classes = [(n_fact // z(lam), lam) for lam in partitions_of(n)]
     total = 0
     for mu in family.group_types():
         total += family.group_elements(mu) * sum(
-            n_fact // z(lam) * math.prod(fixes[power_type(lam, m)] for m in mu.parts)
-            for lam in partitions_of(n)
+            size * math.prod(fixes[power_type(lam, m)] for m in mu.parts)
+            for size, lam in classes
         )
     order = n_fact * family.group_order
     if total % order != 0:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 
 
 @total_ordering
@@ -68,8 +68,8 @@ EMPTY = Partition(())
 
 
 def iter_partitions(n: int) -> Iterator[Partition]:
-    """The partitions of n in the order of partitions_of, one at a time and
-    uncached, for callers that may stop early."""
+    """The partitions of n in the order of partitions_of, one at a time,
+    for callers that may stop early."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -93,30 +93,12 @@ def iter_partitions(n: int) -> Iterator[Partition]:
             rest -= nxt
 
 
-# One entry per size n.  The series algebra asks for every size up to its
-# truncation degree, at most species.SERIES_LIMIT = 40, so 64 entries keep
-# that path from enumerating any size twice while p(n) objects per entry
-# (about 10^6 at n = 60) stop accumulating for every n ever asked for.
-@lru_cache(maxsize=64)
-def _partitions_tuple(n: int) -> tuple[Partition, ...]:
-    return tuple(iter_partitions(n))
-
-
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, each exactly once, in reverse lexicographic
     order: (n) first, (1,...,1) last."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return list(_partitions_tuple(n))
+    return list(iter_partitions(n))
 
 
-# Bounded like _partitions_tuple: chain-unordered asks z of each of the
-# p(k) partitions mu |- k once per table (5604 of them at k = 30), while the
-# oracle and the series algebra reuse fewer than 200 entries of each cache.
-_PARTITION_STAT_CACHE = 1024
-
-
-@lru_cache(maxsize=_PARTITION_STAT_CACHE)
 def z(lam: Partition) -> int:
     """Centralizer order 1^m1 m1! 2^m2 m2! ... of a permutation with cycle
     type lam; n!/z(lam) permutations of S_n share that cycle type."""
@@ -126,7 +108,6 @@ def z(lam: Partition) -> int:
     return out
 
 
-@lru_cache(maxsize=_PARTITION_STAT_CACHE)
 def power_type(lam: Partition, k: int) -> Partition:
     """Cycle type of sigma^k when sigma has cycle type lam: an m-cycle
     falls apart into gcd(m,k) cycles of length m/gcd(m,k)."""

@@ -646,7 +646,7 @@ def wedderburn_etherington(N: int) -> list[int]:
     index n of the returned list is the coefficient of x^n, for n <= N.
 
     Independent of the cycle-index path, so it cross-checks
-    unlabeled_gf(binary_tree_cycle_index(N)).
+    binary_tree_cycle_index(N).unlabeled_gf().
     """
     if N < 1:
         raise ValueError("N must be >= 1")

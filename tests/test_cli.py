@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from tanglecount import oracle, species
+from tanglecount import cli, oracle, species
 from tanglecount.cli import main
+from tanglecount.cycle_index import DegreeOutOfRange
 
 VERIFY_CHECKS = (
     "rooted-enumeration-count",
@@ -173,6 +174,26 @@ class TestCounts:
 
         monkeypatch.setattr(species, "count_table", broken)
         code, _, err = run(capsys, "counts", "--family", "unrooted-ordered", "--max-n", "3")
+        assert code == 1
+        assert err.startswith("internal error:") and "broken" in err
+
+    # every CLI guard runs before the library's own guards, so one of these
+    # raised past them is a bug, not a usage error
+    @pytest.mark.parametrize(
+        "module, name, error, argv",
+        [
+            (oracle, "burnside_count", oracle.SizeLimitExceeded, ("verify", "--max-n", "3")),
+            (cli, "binary_tree_cycle_index", DegreeOutOfRange,
+             ("zindex", "R", "--max-degree", "3")),
+        ],
+        ids=["SizeLimitExceeded", "DegreeOutOfRange"],
+    )
+    def test_internal_guard_error_exits_one(self, capsys, monkeypatch, module, name, error, argv):
+        def broken(*args):
+            raise error("broken")
+
+        monkeypatch.setattr(module, name, broken)
+        code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("internal error:") and "broken" in err
 
@@ -347,9 +368,9 @@ class TestVerify:
         def counted(name):
             enumerate_trees = getattr(oracle, name)
 
-            def wrapper(n, limit=oracle.DEFAULT_ENUMERATION_LIMIT):
+            def wrapper(n):
                 calls.append((name, n))
-                return enumerate_trees(n, limit)
+                return enumerate_trees(n)
 
             return wrapper
 

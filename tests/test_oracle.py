@@ -206,7 +206,6 @@ class TestEnumerateRooted:
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):
             enumerate_rooted(9)
-        assert len(enumerate_rooted(4, limit=4)) == 15
 
     def test_scrambled_nested_tuple_is_enumerated(self):
         scrambled = ((5, (2, 1)), (4, 3))
@@ -395,7 +394,7 @@ class TestFixedCounts:
         with pytest.raises(SizeLimitExceeded):
             fixed_counts(9, False)
         with pytest.raises(SizeLimitExceeded):
-            fixed_counts(5, True, limit=4)
+            fixed_counts(9, True)
 
 
 class TestBurnsideCount:

@@ -1,10 +1,13 @@
+import importlib
 import math
+import pkgutil
 import random
 
 import pytest
 
+import tanglecount
 from helpers import binary_partitions, from_vector
-from tanglecount import partitions, species
+from tanglecount import species
 from tanglecount.partitions import (
     Partition,
     is_binary_partition,
@@ -104,9 +107,12 @@ class TestPartitionsOf:
             partitions_of(-1)
 
     def test_cache_is_bounded_above_the_series_degrees(self):
-        # the series path asks for every size up to SERIES_LIMIT
-        maxsize = partitions._partitions_tuple.cache_info().maxsize
-        assert maxsize is not None and maxsize >= species.SERIES_LIMIT + 1
+        # the series path asks for every size up to SERIES_LIMIT; partitions_of
+        # keeps no cache for them, and each call gives a list the caller owns
+        assert not hasattr(partitions_of, "cache_info")
+        first = partitions_of(species.SERIES_LIMIT)
+        first.clear()
+        assert len(partitions_of(species.SERIES_LIMIT)) == 37338  # p(40)
 
 
 class TestIterPartitions:
@@ -160,12 +166,21 @@ class TestZ:
         assert sum(math.factorial(n) // z(lam) for lam in partitions_of(n)) == math.factorial(n)
 
     def test_caches_are_bounded(self):
-        # one chain-unordered table asks z of all 5604 partitions of 30
-        z.cache_clear()
-        species.count_table(species.chain_unordered(30), 5)
-        info = z.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize < 5604
-        assert power_type.cache_info().maxsize is not None
+        # z, power_type and partitions_of are recomputed on every call: no
+        # counts run reuses them, and verify gains nothing from caching them
+        caches = {}
+        for info in pkgutil.iter_modules(tanglecount.__path__):
+            module = importlib.import_module(f"tanglecount.{info.name}")
+            for name, obj in vars(module).items():
+                if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                    caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+        assert set(caches) == {
+            "species.binary_tree_cycle_index",
+            "species.unrooted_tree_cycle_index",
+            "species._no_leaf_table",
+            "oracle._fixed_table",
+        }
+        assert all(maxsize is not None for maxsize in caches.values()), caches
 
 
 class TestPowerType:
