@@ -8,22 +8,16 @@ leaf-labeled binary trees, in exact rational arithmetic, give a second
 route, and a brute-force Burnside oracle over explicitly enumerated trees
 cross-checks everything at small sizes.
 
+No count reads a series, so the series names (CycleIndexSeries, p1,
+h_series, the inner plethysms and the rest from cycle_index) load on
+first use: `import tanglecount` and the counting path never import
+cycle_index or fractions.
+
 >>> from tanglecount import ROOTED_ORDERED, count
 >>> [count(ROOTED_ORDERED, n) for n in range(1, 7)]
 [1, 1, 2, 13, 114, 1509]
 """
 
-from .cycle_index import (
-    CycleIndexSeries,
-    DegreeOutOfRange,
-    NonZeroConstantTerm,
-    h_series,
-    inner_plethysm_hn,
-    inner_plethysm_pk,
-    monomial,
-    p1,
-    zero_series,
-)
 from .oracle import (
     SizeLimitExceeded,
     burnside_count,
@@ -62,6 +56,33 @@ from .species import (
 )
 
 __version__ = "0.1.0"
+
+# resolved from cycle_index by __getattr__ (PEP 562) when first asked for
+_SERIES_NAMES = frozenset(
+    {
+        "CycleIndexSeries",
+        "DegreeOutOfRange",
+        "NonZeroConstantTerm",
+        "h_series",
+        "inner_plethysm_hn",
+        "inner_plethysm_pk",
+        "monomial",
+        "p1",
+        "zero_series",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _SERIES_NAMES:
+        from . import cycle_index
+
+        return getattr(cycle_index, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SERIES_NAMES)
 
 __all__ = [
     "CycleIndexSeries",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import oracle, species
@@ -63,6 +62,8 @@ def _group(rows: Rows) -> list[tuple[str, list[tuple[int, int]]]]:
 
 
 def _render_json(rows: Rows) -> str:
+    import json  # only for this format: keeps it out of start-up time
+
     objects = [
         {"family": fam, "counts": [{"n": n, "value": str(v)} for n, v in pairs]}
         for fam, pairs in _group(rows)
@@ -254,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tanglecount",
         description="Count unlabeled tanglegrams, tangled chains, and binary "
-        "tree shapes exactly, via cycle-index series.",
+        "tree shapes exactly, by integer passes over binary partitions; the "
+        "cycle-index series are kept as the cross-check (zindex, gf, verify).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

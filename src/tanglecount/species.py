@@ -35,10 +35,11 @@ passes, rooted at that leaf; the lam = 3 nu are the rooted passes over
 nu, with a power of 3 per part; and the binary lam with no part 1 are
 one pass that carries sums of products of the dissymmetry terms.
 
-No count goes through a series.  The series route stays as the
-independent cross-check: the rooted cycle index solves Z = p_1 + h_2[Z]
-(a binary tree is a leaf or an unordered pair of binary trees), and the
-unrooted one is Z_U = h_3[Z] + p_1 Z + Z - Z^2 - p_1.
+No count goes through a series, and cycle_index loads only when a series
+is asked for.  The series route stays as the independent cross-check: the
+rooted cycle index solves Z = p_1 + h_2[Z] (a binary tree is a leaf or an
+unordered pair of binary trees), and the unrooted one is
+Z_U = h_3[Z] + p_1 Z + Z - Z^2 - p_1.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cycle_index import CycleIndexSeries, h_series, p1
 from .partitions import Partition, is_binary_partition, iter_partitions, z
+
+if TYPE_CHECKING:
+    from .cycle_index import CycleIndexSeries
 
 
 class NonIntegerCoefficient(ArithmeticError):
@@ -87,7 +88,6 @@ def takes_k(kind: str) -> bool:
     return _KINDS[kind].chain
 
 
-@dataclass(frozen=True)
 class TanglegramFamily:
     """k leaf-labeled binary trees on one leaf set, counted up to
     relabeling the leaves: a tree kind, rooted or unrooted, plus a group G
@@ -97,20 +97,47 @@ class TanglegramFamily:
     The kind (one of FAMILY_KINDS) names both; the chain kinds carry their
     length k, the four tanglegram kinds hold two trees.  G is read through
     its cycle types (group_types), the number of elements of each
-    (group_elements) and its order (group_order)."""
+    (group_elements) and its order (group_order).
 
-    kind: str
-    k: int | None = None
+    Immutable, hashable and equal only to a family of the same kind and k.
+    A plain class rather than a frozen dataclass, since importing
+    dataclasses costs more than the whole counting path at small n."""
 
-    def __post_init__(self):
-        spec = _KINDS.get(self.kind)
+    __slots__ = ("kind", "k")
+
+    def __init__(self, kind: str, k: int | None = None):
+        spec = _KINDS.get(kind)
         if spec is None:
-            raise ValueError(f"unknown family kind {self.kind!r}")
+            raise ValueError(f"unknown family kind {kind!r}")
         if spec.chain:
-            if self.k is None or self.k < 1:
-                raise ValueError(f"{self.kind} requires a chain length k >= 1")
-        elif self.k is not None:
-            raise ValueError(f"{self.kind} does not take a chain length")
+            if k is None or k < 1:
+                raise ValueError(f"{kind} requires a chain length k >= 1")
+        elif k is not None:
+            raise ValueError(f"{kind} does not take a chain length")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through __init__: the default would set the slots by
+        # __setattr__, which refuses
+        return TanglegramFamily, (self.kind, self.k)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.k) == (other.kind, other.k)
+
+    def __hash__(self):
+        return hash((self.kind, self.k))
+
+    def __repr__(self):
+        return f"TanglegramFamily(kind={self.kind!r}, k={self.k!r})"
 
     @property
     def unrooted(self) -> bool:
@@ -184,6 +211,9 @@ def binary_tree_cycle_index(N: int) -> CycleIndexSeries:
     with the pass; this keeps every intermediate product within the part
     of the series that is already exact.
     """
+    # here, not at module level, so that counting never loads the series
+    from .cycle_index import CycleIndexSeries, h_series, p1
+
     if N < 1:
         raise ValueError("N must be >= 1")
     zr = p1(1)
@@ -202,6 +232,8 @@ def unrooted_tree_cycle_index(N: int) -> CycleIndexSeries:
     The one-vertex tree is excluded, so the degree-0 and degree-1
     components vanish and queries need n >= 2.
     """
+    from .cycle_index import h_series, p1
+
     if N < 2:
         raise ValueError("N must be >= 2")
     zr = binary_tree_cycle_index(N)
@@ -352,7 +384,7 @@ def _divide(total: int, divisor: int, what: str) -> int:
     """total / divisor, which must be an integer."""
     value, rest = divmod(total, divisor)
     if rest:
-        raise NonIntegerCount(f"{what} evaluated to non-integer {Fraction(total, divisor)}")
+        raise NonIntegerCount(f"{what} evaluated to non-integer {total}/{divisor}")
     return value
 
 
@@ -364,17 +396,24 @@ def _divide(total: int, divisor: int, what: str) -> int:
 TABLE_LIMIT = 600  # count_table for any family
 SERIES_LIMIT = 40  # anything that solves Z = p_1 + h_2[Z]
 # count_table makes one _fixed_point_table pass per _pass_key of G's cycle
-# types, and a pass whose mu has p parts takes about
-# (PASS_SECONDS + PART_SECONDS * p^1.6) * max_n^4 seconds: the table grows
-# by a factor 2n - 1 per part, and multiplying its entries is superlinear
-# in their length.  Whole tables on the same host, in seconds (model in
-# brackets):
-# chain(10) to n = 600 27 [27], chain(50) to 400 58 [61], chain(100) to
-# 200 11 [11], chain(200) to 200 34 [35], chain(1000) to 100 27 [28],
-# chain-unordered(3) to 600 15 [17], (4) to 600 31 [32], (5) to 600
-# 49 [51], (20) to 150 25 [18], (30) to 100 29 [22].
-PASS_SECONDS = 3e-11
-PART_SECONDS = 4.5e-12
+# types, and a pass runs about max_n^2 steps of its inner loop.  Each step
+# has a fixed interpreter cost, the STEP_SECONDS * max_n^2 term, which is
+# most of the time of S_k's hundreds of passes with few parts at moderate n.
+# Each step also multiplies integers whose length grows with max_n and with
+# the number p of parts of mu, the (PASS_SECONDS + PART_SECONDS * p^1.5) *
+# max_n^4 term: the table grows by a factor 2n - 1 per part, and multiplying
+# is superlinear in length.  The _cycle_type_weights sums and the powers of
+# tops in count_table take under 2% of a table (0.4 s of 24 s for
+# chain-unordered(30) to 100), so the model leaves them out.  Whole tables
+# on the same host, in seconds, median of one to three runs (model in
+# brackets): chain(10) to n = 600 25 [27], chain(50) to 400 51 [55],
+# chain(100) to 200 9.8 [9.6], chain(200) to 200 27 [27], chain(1000) to 100
+# 19 [19], chain-unordered(3) to 600 14 [13], (4) to 600 23 [26], (5) to 600
+# 47 [43], (20) to 60 0.62 [0.67], (20) to 100 4.3 [4.1], (20) to 150
+# 19 [19], (30) to 60 4.1 [3.6], (30) to 100 24 [23].
+STEP_SECONDS = 3e-7
+PASS_SECONDS = 1.5e-11
+PART_SECONDS = 6e-12
 PASS_SECONDS_LIMIT = 40.0  # under chain-unordered(5) to 600, over (4) and chain(10)
 # The guard lists G's cycle types until the parts of the distinct passes
 # would pass this bound (k <= 30 for S_k), which takes 0.2 s or less.
@@ -414,6 +453,12 @@ def _pass_key(mu: Partition) -> PassKey:
     return g >> _two_adic(g), tuple(sorted(_two_adic(j) for j in mu.parts))
 
 
+def _pass_seconds(parts: int, max_n: int) -> float:
+    """The modelled time of one _fixed_point_table pass to max_n for a mu
+    with this many parts."""
+    return STEP_SECONDS * max_n**2 + (PASS_SECONDS + PART_SECONDS * parts**1.5) * max_n**4
+
+
 def table_guard(family: TanglegramFamily, max_n: int) -> str | None:
     """Why the command line refuses count_table(family, max_n), or None.
 
@@ -438,7 +483,7 @@ def table_guard(family: TanglegramFamily, max_n: int) -> str | None:
             continue
         keys.add(key)
         parts += len(mu)
-        seconds += (PASS_SECONDS + PART_SECONDS * len(mu) ** 1.6) * max_n**4
+        seconds += _pass_seconds(len(mu), max_n)
         if seconds > PASS_SECONDS_LIMIT:
             return f"its passes would take over {PASS_SECONDS_LIMIT:g} s, the pass guard"
     return None
@@ -650,16 +695,14 @@ def wedderburn_etherington(N: int) -> list[int]:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    a = [Fraction(0)] * (N + 1)
-    a[1] = Fraction(1)
+    a = [0] * (N + 1)
+    a[1] = 1
     for n in range(2, N + 1):
-        s = sum((a[i] * a[n - i] for i in range(1, n)), start=Fraction(0))
+        s = sum(a[i] * a[n - i] for i in range(1, n))
         if n % 2 == 0:
             s += a[n // 2]
-        a[n] = s / 2
-    return [
-        _divide(c.numerator, c.denominator, f"tree count at {i}") for i, c in enumerate(a)
-    ]
+        a[n] = _divide(s, 2, f"tree count at {n}")
+    return a
 
 
 def labeled_counts(n: int) -> tuple[int, int]:

@@ -1,4 +1,9 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -390,3 +395,55 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--max-n", "99")
         assert code == 2
         assert "guard" in err
+
+
+# Runs in a fresh interpreter: diffs sys.modules around importing the CLI and
+# around a counts run, then uses the series names that load on first use.
+_START_UP_SCRIPT = """
+import io, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+import tanglecount.cli
+imported = sorted(set(sys.modules) - before)
+families = []
+for kind in ("rooted-ordered", "rooted-unordered", "chain", "chain-unordered",
+             "unrooted-ordered", "unrooted-unordered"):
+    families += ["--family", kind]
+with redirect_stdout(io.StringIO()):
+    code = tanglecount.cli.main(["counts", *families, "--k", "3", "--max-n", "30"])
+counted = sorted(set(sys.modules) - before)
+assert code == 0, code
+
+from tanglecount import p1, CycleIndexSeries
+assert isinstance(p1(3), CycleIndexSeries)
+from tanglecount import *
+missing = [name for name in tanglecount.__all__ if name not in globals()]
+assert not missing, missing
+
+with redirect_stdout(io.StringIO()) as verify_out:
+    verify = tanglecount.cli.main(["verify", "--max-n", "4"])
+with redirect_stdout(io.StringIO()) as zindex_out:
+    zindex = tanglecount.cli.main(["zindex", "R", "--max-degree", "5"])
+print(repr((imported, counted, verify, verify_out.getvalue(), zindex, zindex_out.getvalue())))
+"""
+
+
+class TestStartUp:
+    def test_counts_loads_no_series_or_dataclasses(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", _START_UP_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        imported, counted, verify, verify_out, zindex, zindex_out = ast.literal_eval(done.stdout)
+        assert "tanglecount.cli" in imported
+        for unused in ("dataclasses", "inspect", "fractions", "decimal",
+                       "tanglecount.cycle_index"):
+            assert unused not in imported, unused
+            assert unused not in counted, unused
+        # the series route still works once asked for
+        assert verify == 0
+        assert verify_out.splitlines() == [f"PASS {name}" for name in VERIFY_CHECKS]
+        assert zindex == 0
+        assert zindex_out == species.binary_tree_cycle_index(5).render() + "\n"
