@@ -8,24 +8,17 @@ leaf-labeled binary trees, in exact rational arithmetic, give a second
 route, and a brute-force Burnside oracle over explicitly enumerated trees
 cross-checks everything at small sizes.
 
-No count reads a series, so the series names (CycleIndexSeries, p1,
-h_series, the inner plethysms and the rest from cycle_index) load on
-first use: `import tanglecount` and the counting path never import
-cycle_index or fractions.
+No count reads a series or the oracle, so the series names
+(CycleIndexSeries, p1, h_series, the inner plethysms and the rest from
+cycle_index) and the oracle's (burnside_count, fixed_counts and the rest)
+load on first use: `import tanglecount` and the counting path never import
+cycle_index, oracle or fractions.
 
 >>> from tanglecount import ROOTED_ORDERED, count
 >>> [count(ROOTED_ORDERED, n) for n in range(1, 7)]
 [1, 1, 2, 13, 114, 1509]
 """
 
-from .oracle import (
-    SizeLimitExceeded,
-    burnside_count,
-    enumerate_rooted,
-    enumerate_unrooted,
-    fix_count,
-    fixed_counts,
-)
 from .partitions import (
     Partition,
     is_binary_partition,
@@ -57,7 +50,8 @@ from .species import (
 
 __version__ = "0.1.0"
 
-# resolved from cycle_index by __getattr__ (PEP 562) when first asked for
+# resolved by __getattr__ (PEP 562) when first asked for: these from
+# cycle_index, _ORACLE_NAMES from oracle
 _SERIES_NAMES = frozenset(
     {
         "CycleIndexSeries",
@@ -71,18 +65,30 @@ _SERIES_NAMES = frozenset(
         "zero_series",
     }
 )
+_ORACLE_NAMES = frozenset(
+    {
+        "SizeLimitExceeded",
+        "burnside_count",
+        "enumerate_rooted",
+        "enumerate_unrooted",
+        "fix_count",
+        "fixed_counts",
+    }
+)
 
 
 def __getattr__(name: str):
     if name in _SERIES_NAMES:
-        from . import cycle_index
-
-        return getattr(cycle_index, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from . import cycle_index as module
+    elif name in _ORACLE_NAMES:
+        from . import oracle as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SERIES_NAMES)
+    return sorted(set(globals()) | _SERIES_NAMES | _ORACLE_NAMES)
 
 __all__ = [
     "CycleIndexSeries",

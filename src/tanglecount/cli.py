@@ -11,7 +11,7 @@ import argparse
 import functools
 import sys
 
-from . import oracle, species
+from . import species
 from .partitions import Partition, partitions_of
 from .species import (
     ROOTED_ORDERED,
@@ -157,6 +157,9 @@ def cmd_gf(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # here, not at module level, so that no other command loads the oracle
+    from . import oracle
+
     max_n = args.max_n
     if max_n < 1:
         raise _UsageError("--max-n must be >= 1")

@@ -110,6 +110,8 @@ class TanglegramFamily:
         if spec is None:
             raise ValueError(f"unknown family kind {kind!r}")
         if spec.chain:
+            if k is not None and not isinstance(k, int):
+                raise ValueError(f"{kind} requires an integer chain length k, not {k!r}")
             if k is None or k < 1:
                 raise ValueError(f"{kind} requires a chain length k >= 1")
         elif k is not None:
@@ -390,8 +392,8 @@ def _divide(total: int, divisor: int, what: str) -> int:
 
 # Largest inputs the command line accepts on each path, so that no accepted
 # command runs for much more than a minute.  On a 2-core Xeon vCPU with
-# CPython 3.11 the four rooted tables (k = 3) take 27 s to n = 600, both
-# unrooted tables 14 s, and the series solve for zindex and gf grows about
+# CPython 3.11 the four rooted tables (k = 3) take 6.4 s to n = 600, both
+# unrooted tables 4.1 s, and the series solve for zindex and gf grows about
 # threefold every 5 degrees.
 TABLE_LIMIT = 600  # count_table for any family
 SERIES_LIMIT = 40  # anything that solves Z = p_1 + h_2[Z]
@@ -399,22 +401,21 @@ SERIES_LIMIT = 40  # anything that solves Z = p_1 + h_2[Z]
 # types, and a pass runs about max_n^2 steps of its inner loop.  Each step
 # has a fixed interpreter cost, the STEP_SECONDS * max_n^2 term, which is
 # most of the time of S_k's hundreds of passes with few parts at moderate n.
-# Each step also multiplies integers whose length grows with max_n and with
-# the number p of parts of mu, the (PASS_SECONDS + PART_SECONDS * p^1.5) *
-# max_n^4 term: the table grows by a factor 2n - 1 per part, and multiplying
-# is superlinear in length.  The _cycle_type_weights sums and the powers of
-# tops in count_table take under 2% of a table (0.4 s of 24 s for
-# chain-unordered(30) to 100), so the model leaves them out.  Whole tables
-# on the same host, in seconds, median of one to three runs (model in
-# brackets): chain(10) to n = 600 25 [27], chain(50) to 400 51 [55],
-# chain(100) to 200 9.8 [9.6], chain(200) to 200 27 [27], chain(1000) to 100
-# 19 [19], chain-unordered(3) to 600 14 [13], (4) to 600 23 [26], (5) to 600
-# 47 [43], (20) to 60 0.62 [0.67], (20) to 100 4.3 [4.1], (20) to 150
-# 19 [19], (30) to 60 4.1 [3.6], (30) to 100 24 [23].
-STEP_SECONDS = 3e-7
-PASS_SECONDS = 1.5e-11
-PART_SECONDS = 6e-12
-PASS_SECONDS_LIMIT = 40.0  # under chain-unordered(5) to 600, over (4) and chain(10)
+# Each step also adds to, divides and multiplies by small numbers the
+# carried product, about (1 + p) n log n bits for a mu of p parts, the
+# PASS_SECONDS * (1 + p) term, and multiplies it by a block of about p log n
+# bits, the PART_SECONDS * p^1.75 term; max_n^3.2 stands in for max_n^3 log
+# max_n.  Whole tables on the same host, in seconds, median of five runs
+# (model in brackets): chain(10) to n = 600 3.5 [3.6], chain(50) to 400
+# 7.8 [8.0], chain(100) to 200 2.3 [2.5], chain(200) to 200 7.9 [7.4],
+# chain(1000) to 100 11.3 [11.9], chain-unordered(3) to 600 2.8 [2.6], (4)
+# to 600 4.8 [5.0], (5) to 600 8.1 [7.9], (20) to 60 0.76 [0.73], (20) to
+# 100 2.7 [2.9], (20) to 150 8.9 [9.2], (30) to 60 3.7 [3.5], (30) to 100
+# 15.4 [14.6].
+STEP_SECONDS = 5e-7
+PASS_SECONDS = 2.7e-10
+PART_SECONDS = 2.5e-11
+PASS_SECONDS_LIMIT = 40.0  # between chain-unordered(9) and (10) to 600
 # The guard lists G's cycle types until the parts of the distinct passes
 # would pass this bound (k <= 30 for S_k), which takes 0.2 s or less.
 PASS_PARTS_LIMIT = 10_000
@@ -423,22 +424,6 @@ PASS_PARTS_LIMIT = 10_000
 def _two_adic(j: int) -> int:
     """Exponent of the largest power of 2 dividing j >= 1."""
     return (j & -j).bit_length() - 1
-
-
-def _cycle_type_weights(s: int, odd_lengths: list[int], max_n: int) -> list[int]:
-    """Index M holds the number of permutations of M*s points whose cycles
-    all have a length e*s with e in odd_lengths:
-    (M*s)! times the sum of 1/z_lam over the lam whose binary shadow is s^M."""
-    top = max_n // s
-    perms = [1] + [0] * top
-    for m in range(1, top + 1):
-        # the cycle through the first point has e*s points
-        perms[m] = sum(
-            math.perm(m * s - 1, e * s - 1) * perms[m - e]
-            for e in odd_lengths
-            if e <= m
-        )
-    return perms
 
 
 PassKey = tuple[int, tuple[int, ...]]
@@ -456,7 +441,8 @@ def _pass_key(mu: Partition) -> PassKey:
 def _pass_seconds(parts: int, max_n: int) -> float:
     """The modelled time of one _fixed_point_table pass to max_n for a mu
     with this many parts."""
-    return STEP_SECONDS * max_n**2 + (PASS_SECONDS + PART_SECONDS * parts**1.5) * max_n**4
+    carry = PASS_SECONDS * (1 + parts) + PART_SECONDS * parts**1.75
+    return STEP_SECONDS * max_n**2 + carry * max_n**3.2
 
 
 def table_guard(family: TanglegramFamily, max_n: int) -> str | None:
@@ -512,7 +498,8 @@ def _fixed_point_table(
     gcd(mu).  Then lam^j = nu^j for the binary shadow nu of lam, which
     replaces each part e * 2^a by e parts 2^a, so the pass runs over binary
     nu only: part sizes 2^a from the smallest up, the running size as the
-    state, and the lam behind each nu entering through _cycle_type_weights.
+    state, and the lam behind each nu entering one odd e | g at a time, its
+    j cycles of length e * 2^a as j*e parts 2^a of nu.
 
     Under j = 2^b * o a part 2^a of nu splits into 2^c parts of size
     2^(a-c), c = min(a, b), so only b matters.  Built from the smallest part
@@ -539,19 +526,28 @@ def _fixed_point_table(
                     split *= 2 * (t + i * size) - 1 - shift
                 factor *= split**times
             pieces.append(factor)
-        weights = _cycle_type_weights(s, odd_lengths, max_n)
-        grown = table[:]
-        for base in range(max_n - s + 1):
-            if not table[base]:
-                continue
-            tails = 1
-            for m in range(1, (max_n - base) // s + 1):
-                tails *= pieces[base + (m - 1) * s]
-                top = base + m * s
-                grown[top] += table[base] * math.comb(top, base) * weights[m] * tails
+        # the cycles of lam of length e*s, one odd e | g after another: the
+        # parts s of nu are interchangeable, so the lengths may enter in turn
+        for e in odd_lengths:
+            step = e * s
+            # blocks[t]: the product of the e pieces from t up
+            blocks = [math.prod(pieces[t : t + step : s]) for t in range(max_n - step + 1)]
+            # top down, so that each base is read before a smaller one adds to it
+            for base in range(max_n - step, -1, -1):
+                x = table[base]
+                if not x:
+                    continue
+                for j in range(1, (max_n - base) // step + 1):
+                    lo = base + (j - 1) * step
+                    top = lo + step
+                    # x becomes table[base] * C(top, base) * (the permutations of
+                    # top - base points in j cycles of length step) times
+                    # blocks[base] * ... * blocks[lo], an integer, so the
+                    # quotient is exact
+                    x = x * blocks[lo] * math.perm(top, step) // (step * j)
+                    table[top] += x
         if leaf and s == 1:
-            grown[0] = 0  # no part 1
-        table = grown
+            table[0] = 0  # no part 1
         s, a = 2 * s, a + 1
     return table
 
@@ -597,20 +593,23 @@ def _no_leaf_table(max_n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     table = [(1,) * 6 + (-1,) * 3] + [(0,) * 9] * max_n
     s = 2
     while s <= max_n:
-        weights = _cycle_type_weights(s, [1], max_n)
-        grown = table[:]
-        for base in range(max_n - s + 1):
+        # from the top down, as in _fixed_point_table
+        for base in range(max_n - s, -1, -1):
             carry = table[base]
             if not any(carry):
                 continue
             for m in range(1, (max_n - base) // s + 1):
                 size = base + (m - 1) * s
                 square = _NoLeaf(size, *carry[6:]).grow(s >> 1).grow(s >> 1)
-                carry = _grow_products(carry[:6], size) + square[1:]
-                top = base + m * s
-                scale = math.comb(top, base) * weights[m]
-                grown[top] = tuple(x + scale * y for x, y in zip(grown[top], carry))
-        table = grown
+                top = size + s
+                # carry becomes C(top, base) * (the permutations of top - base
+                # points in m cycles of length s) times the integer entries
+                # grown from table[base] (grow is linear at size > 0, and at
+                # size 0 carry is table[0]), so the quotient is exact
+                scale = math.perm(top, s)
+                grown = _grow_products(carry[:6], size) + square[1:]
+                carry = tuple(x * scale // (s * m) for x in grown)
+                table[top] = tuple(x + y for x, y in zip(table[top], carry))
         s *= 2
     squares, powers = [0] * (max_n + 1), [0] * (max_n + 1)
     for n in range(2, max_n + 1):

@@ -1,6 +1,9 @@
-"""Shared builders for the tests: series, random partitions, and the
-binary partitions that the reference sums run over."""
+"""Shared builders for the tests: series, random partitions, the binary
+partitions that the reference sums run over, and a reference
+binary-partition pass that sums four-factor products."""
 
+import math
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -61,3 +64,56 @@ def from_vector(mult, scale=1):
     return Partition(
         tuple(scale << a for a in reversed(range(len(mult))) for _ in range(mult[a]))
     )
+
+
+def cycle_type_weights(s, odd_lengths, max_n):
+    """Index M holds the number of permutations of M*s points whose cycles
+    all have a length e*s with e in odd_lengths."""
+    top = max_n // s
+    perms = [1] + [0] * top
+    for m in range(1, top + 1):
+        # the cycle through the first point has e*s points
+        perms[m] = sum(
+            math.perm(m * s - 1, e * s - 1) * perms[m - e]
+            for e in odd_lengths
+            if e <= m
+        )
+    return perms
+
+
+def reference_fixed_point_table(g, valuations, max_n, leaf=False, rotated=False):
+    """species._fixed_point_table by the four-factor step: each (base, m)
+    adds table[base] * C(top, base) * weights[m] * tails, the weights summed
+    over every odd e | g at once."""
+    odd_lengths = [e for e in range(1, g + 1, 2) if g % e == 0]
+    shift = 2 if leaf else 0
+    table = [1] + [0] * max_n
+    s, a = 1, 0
+    while s <= max_n:
+        splits = Counter(min(a, b) for b in valuations).items()
+        turns = 3 ** (sum(times << c for c, times in splits) - 1) if rotated else 1
+        pieces = []
+        for t in range(max_n - s + 1):
+            factor = turns
+            for c, times in splits:
+                size = s >> c
+                split = 1
+                for i in range(1, (1 << c) + 1):
+                    split *= 2 * (t + i * size) - 1 - shift
+                factor *= split**times
+            pieces.append(factor)
+        weights = cycle_type_weights(s, odd_lengths, max_n)
+        grown = table[:]
+        for base in range(max_n - s + 1):
+            if not table[base]:
+                continue
+            tails = 1
+            for m in range(1, (max_n - base) // s + 1):
+                tails *= pieces[base + (m - 1) * s]
+                top = base + m * s
+                grown[top] += table[base] * math.comb(top, base) * weights[m] * tails
+        if leaf and s == 1:
+            grown[0] = 0  # no part 1
+        table = grown
+        s, a = 2 * s, a + 1
+    return table

@@ -8,7 +8,7 @@ from itertools import permutations
 
 import pytest
 
-from helpers import binary_partitions, from_vector, series
+from helpers import binary_partitions, from_vector, reference_fixed_point_table, series
 from tanglecount import (
     ROOTED_ORDERED,
     ROOTED_UNORDERED,
@@ -211,6 +211,9 @@ class TestTanglegramFamily:
             ("chain", None, "chain requires a chain length k >= 1"),
             ("chain-unordered", 0, "chain-unordered requires a chain length k >= 1"),
             ("rooted-ordered", 2, "rooted-ordered does not take a chain length"),
+            ("chain", 2.5, "chain requires an integer chain length k, not 2.5"),
+            ("chain-unordered", "3",
+             "chain-unordered requires an integer chain length k, not '3'"),
         ],
     )
     def test_validation_messages(self, kind, k, message):
@@ -406,6 +409,30 @@ class TestCountTable:
                     assert table[n] == restricted_support_count(k, unordered, n), (
                         fam.label, n)
 
+    # the mu of chain-unordered(15) include (15), (5,5,5) and (3,3,3,3,3);
+    # the unrooted families read 1^2 and (2) with leaf and rotated
+    @pytest.mark.parametrize(
+        "mu, leaf, rotated",
+        [
+            ((1, 1), False, False),
+            ((8, 4, 2), False, False),
+            ((3, 3, 3, 3, 3), False, False),
+            ((5, 5, 5), False, False),
+            ((15,), False, False),
+            ((12, 6), False, False),
+            ((1, 1), True, False),
+            ((2,), True, False),
+            ((1, 1), False, True),
+            ((2,), False, True),
+        ],
+        ids=lambda value: ",".join(map(str, value)) if isinstance(value, tuple) else None,
+    )
+    def test_pass_matches_four_factor_reference(self, mu, leaf, rotated):
+        g, valuations = species._pass_key(Partition(mu))
+        n = 150 if len(mu) > 3 else 200
+        assert species._fixed_point_table(g, valuations, n, leaf, rotated) == (
+            reference_fixed_point_table(g, valuations, n, leaf, rotated))
+
     def test_single_tree_is_wedderburn_etherington_at_200(self):
         wet = wedderburn_etherington(200)
         assert count_table(chain(1), 200) == wet
@@ -484,24 +511,24 @@ class TestCountTable:
         # a single pass over the bound, refused without listing more types
         assert "parts" in species.table_guard(chain(10**6), 1)
 
-    # whole tables timed on a 2-core Xeon vCPU with CPython 3.11, the rows of
-    # the comment above species.STEP_SECONDS
+    # whole tables timed on a 2-core Xeon vCPU with CPython 3.11, median of
+    # five runs, the rows of the comment above species.STEP_SECONDS
     @pytest.mark.parametrize(
         "family, max_n, measured",
         [
-            (chain(10), 600, 24.9),
-            (chain(50), 400, 51.4),
-            (chain(100), 200, 9.8),
-            (chain(200), 200, 27.3),
-            (chain(1000), 100, 19.1),
-            (chain_unordered(3), 600, 13.96),
-            (chain_unordered(4), 600, 23.4),
-            (chain_unordered(5), 600, 46.9),
-            (chain_unordered(20), 60, 0.62),
-            (chain_unordered(20), 100, 4.3),
-            (chain_unordered(20), 150, 19.2),
-            (chain_unordered(30), 60, 4.1),
-            (chain_unordered(30), 100, 23.7),
+            (chain(10), 600, 3.52),
+            (chain(50), 400, 7.77),
+            (chain(100), 200, 2.34),
+            (chain(200), 200, 7.90),
+            (chain(1000), 100, 11.33),
+            (chain_unordered(3), 600, 2.81),
+            (chain_unordered(4), 600, 4.83),
+            (chain_unordered(5), 600, 8.11),
+            (chain_unordered(20), 60, 0.76),
+            (chain_unordered(20), 100, 2.68),
+            (chain_unordered(20), 150, 8.92),
+            (chain_unordered(30), 60, 3.70),
+            (chain_unordered(30), 100, 15.36),
         ],
     )
     def test_pass_model_within_15_percent(self, family, max_n, measured):
