@@ -32,7 +32,6 @@ from .species import (
     ROOTED_UNORDERED,
     UNROOTED_ORDERED,
     UNROOTED_UNORDERED,
-    NonIntegerCoefficient,
     NonIntegerCount,
     TanglegramFamily,
     binary_tree_cycle_index,
@@ -93,7 +92,6 @@ def __dir__() -> list[str]:
 __all__ = [
     "CycleIndexSeries",
     "DegreeOutOfRange",
-    "NonIntegerCoefficient",
     "NonIntegerCount",
     "NonZeroConstantTerm",
     "Partition",

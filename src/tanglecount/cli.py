@@ -149,9 +149,8 @@ def cmd_gf(args: argparse.Namespace) -> int:
     rows: Rows = []
     for n in range(start, args.max_n + 1):
         value = gf[n]
-        if value.denominator != 1:
-            raise ArithmeticError(f"non-integer GF coefficient {value} at {n}")
-        rows.append((label, n, int(value)))
+        count = species._divide(value.numerator, value.denominator, f"{label} at n = {n}")
+        rows.append((label, n, count))
     _emit(_RENDERERS[args.format](rows), args.output)
     return 0
 
@@ -163,10 +162,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     max_n = args.max_n
     if max_n < 1:
         raise _UsageError("--max-n must be >= 1")
-    if max_n > oracle.BURNSIDE_LIMIT:
+    if max_n > oracle.ORACLE_LIMIT:
         raise _UsageError(
             f"--max-n {max_n} exceeds the brute-force guard "
-            f"{oracle.BURNSIDE_LIMIT}; the oracle is desk-scale only"
+            f"{oracle.ORACLE_LIMIT}; the oracle is desk-scale only"
         )
 
     failures = 0

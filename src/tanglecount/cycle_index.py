@@ -211,16 +211,6 @@ class CycleIndexSeries:
             out[lam.size] += c
         return out
 
-    def count_at_degree(self, n: int) -> Fraction:
-        """Sum of the degree-n coefficients (each p_lam set to 1)."""
-        if n > self.degree:
-            raise DegreeOutOfRange(f"degree {n} exceeds truncation degree {self.degree}")
-        total = _ZERO
-        for lam, c in self.terms.items():
-            if lam.size == n:
-                total += c
-        return total
-
     # -- rendering ------------------------------------------------------
 
     def render(self) -> str:

@@ -25,10 +25,9 @@ integers, never the trees) is cached per (n, tree kind), and every
 Burnside sum and `verify` check reads it; a power sigma^m is looked up
 by its cycle type, since conjugate permutations fix equally many trees.
 
-Everything here is desk-scale, with fixed guards: the enumerators and
-`fixed_counts` raise SizeLimitExceeded for n > ENUMERATION_LIMIT = 8,
-and `burnside_count` for n > BURNSIDE_LIMIT = 7.  The symbolic path is
-the production path.
+Everything here is desk-scale, with one fixed guard: the enumerators,
+and so `fixed_counts` and `burnside_count`, raise SizeLimitExceeded for
+n > ORACLE_LIMIT = 8.  The symbolic path is the production path.
 """
 
 from __future__ import annotations
@@ -37,10 +36,9 @@ import math
 from functools import lru_cache
 
 from .partitions import Partition, partitions_of, power_type, z
-from .species import TanglegramFamily
+from .species import TanglegramFamily, _divide
 
-ENUMERATION_LIMIT = 8
-BURNSIDE_LIMIT = 7
+ORACLE_LIMIT = 8
 
 Tree = tuple[int, ...]  # sorted internal clusters (rooted) or splits (unrooted)
 
@@ -72,12 +70,12 @@ def _grow(first: int, n: int) -> list[Tree]:
 def enumerate_rooted(n: int) -> list[Tree]:
     """All binary trees on leaf set {1..n}, each once, as sorted tuples of
     internal clusters, the full set last; (2n-3)!! of them for n > 1.
-    Raises SizeLimitExceeded for n > ENUMERATION_LIMIT."""
+    Raises SizeLimitExceeded for n > ORACLE_LIMIT."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > ENUMERATION_LIMIT:
+    if n > ORACLE_LIMIT:
         raise SizeLimitExceeded(
-            f"n = {n} exceeds rooted enumeration limit {ENUMERATION_LIMIT}"
+            f"n = {n} exceeds rooted enumeration limit {ORACLE_LIMIT}"
         )
     return _grow(1, n)
 
@@ -87,36 +85,17 @@ def enumerate_unrooted(n: int) -> list[Tree]:
     tuples of non-trivial splits: the rooted trees on leaves 2..n less
     their last cluster, the full one; (2n-5)!! of them for n >= 3, one
     (no splits) for n = 2.  Raises SizeLimitExceeded for
-    n > ENUMERATION_LIMIT."""
+    n > ORACLE_LIMIT."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n > ENUMERATION_LIMIT:
+    if n > ORACLE_LIMIT:
         raise SizeLimitExceeded(
-            f"n = {n} exceeds unrooted enumeration limit {ENUMERATION_LIMIT}"
+            f"n = {n} exceeds unrooted enumeration limit {ORACLE_LIMIT}"
         )
     return [t[:-1] for t in _grow(2, n)]
 
 
 # -- permutations ---------------------------------------------------------
-
-
-def cycle_type(sigma: tuple[int, ...]) -> Partition:
-    """Cycle type of a permutation given as a tuple (i -> sigma[i-1])."""
-    n = len(sigma)
-    seen = [False] * n
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j] - 1
-            length += 1
-        lengths.append(length)
-    lengths.sort(reverse=True)
-    return Partition(tuple(lengths))
 
 
 def permutation_of_type(lam: Partition, n: int) -> tuple[int, ...]:
@@ -131,11 +110,6 @@ def permutation_of_type(lam: Partition, n: int) -> tuple[int, ...]:
         sigma.append(start)
         start += length
     return tuple(sigma)
-
-
-def compose(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
-    """(sigma . tau)(i) = sigma(tau(i))."""
-    return tuple(sigma[t - 1] for t in tau)
 
 
 # -- fixed points and Burnside counts --------------------------------------
@@ -167,7 +141,7 @@ def fix_count(trees: list[Tree], sigma: tuple[int, ...]) -> int:
 # One table per (n, tree kind) up to the enumeration guard; each holds p(n)
 # integers, the trees themselves are dropped once counted.  The enumerators
 # raise past the guard, and lru_cache caches no exception.
-@lru_cache(maxsize=2 * (ENUMERATION_LIMIT + 1))
+@lru_cache(maxsize=2 * (ORACLE_LIMIT + 1))
 def _fixed_table(n: int, unrooted: bool) -> tuple[tuple[Partition, int], ...]:
     trees = enumerate_unrooted(n) if unrooted else enumerate_rooted(n)
     return tuple(
@@ -182,7 +156,7 @@ def fixed_counts(n: int, unrooted: bool) -> dict[Partition, int]:
     The trees are enumerated once per (n, kind) and the counts cached;
     the identity type 1^n fixes every tree, so its entry is the number
     of trees.  The dict is the caller's own copy.  Raises
-    SizeLimitExceeded for n > ENUMERATION_LIMIT.
+    SizeLimitExceeded for n > ORACLE_LIMIT.
     """
     return dict(_fixed_table(n, unrooted))
 
@@ -201,11 +175,9 @@ def burnside_count(family: TanglegramFamily, n: int) -> int:
     tuples.  Both factors are grouped by cycle type, with n!/z_lam
     permutations sigma of type lam and family.group_elements(mu) elements
     g of type mu, and fix(sigma^m) is read from `fixed_counts` at the
-    cycle type of sigma^m.  Raises SizeLimitExceeded for
-    n > BURNSIDE_LIMIT.
+    cycle type of sigma^m.  Raises SizeLimitExceeded, from `fixed_counts`,
+    for n > ORACLE_LIMIT.
     """
-    if n > BURNSIDE_LIMIT:
-        raise SizeLimitExceeded(f"n = {n} exceeds Burnside limit {BURNSIDE_LIMIT}")
     if n < family.min_n:
         raise ValueError(f"{family.label} requires n >= {family.min_n}, got {n}")
     fixes = fixed_counts(n, family.unrooted)
@@ -218,8 +190,4 @@ def burnside_count(family: TanglegramFamily, n: int) -> int:
             for size, lam in classes
         )
     order = n_fact * family.group_order
-    if total % order != 0:
-        raise ArithmeticError(
-            f"Burnside sum {total} not divisible by group order {order}"
-        )
-    return total // order
+    return _divide(total, order, f"Burnside sum for {family.label} at n = {n}")

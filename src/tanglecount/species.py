@@ -56,13 +56,17 @@ if TYPE_CHECKING:
     from .cycle_index import CycleIndexSeries
 
 
-class NonIntegerCoefficient(ArithmeticError):
-    """A coefficient that must be a nonnegative integer is not; signals an
+class NonIntegerCount(ArithmeticError):
+    """A count that must be a nonnegative integer is not; signals an
     upstream bug, never expected on valid inputs."""
 
 
-class NonIntegerCount(ArithmeticError):
-    """A count that must be a nonnegative integer is not."""
+def _divide(total: int, divisor: int, what: str) -> int:
+    """total / divisor, which must be an integer."""
+    value, rest = divmod(total, divisor)
+    if rest:
+        raise NonIntegerCount(f"{what} evaluated to non-integer {total}/{divisor}")
+    return value
 
 
 class _Kind(NamedTuple):
@@ -247,20 +251,23 @@ def r_coefficient(lam: Partition, Z: CycleIndexSeries) -> int:
     """Number of labeled binary trees fixed by a permutation of cycle type
     lam, read off the series as coefficient(lam) * z(lam)."""
     value = Z.coefficient(lam) * z(lam)
-    if value.denominator != 1 or value < 0:
-        raise NonIntegerCoefficient(
-            f"coefficient {value} at {lam} is not a nonnegative integer"
-        )
-    return int(value)
+    if value < 0:
+        raise NonIntegerCount(f"r at {lam} evaluated to negative {value}")
+    return _divide(value.numerator, value.denominator, f"r at {lam}")
 
 
 def r_closed_form(lam: Partition) -> int:
     """Product formula for the fixed-tree count r_lam: over i = 2..l(lam),
     multiply 2*(lam_i + ... + lam_l) - 1; zero unless every part is a
     power of 2.  The empty partition gets 0 (no tree has zero leaves)."""
-    if not is_binary_partition(lam):
+    if not lam.parts or not is_binary_partition(lam):
         return 0
-    return _r_binary(_binary_vector(lam))
+    out, tail = 1, 0
+    # from the smallest part up, every part but the largest
+    for part in reversed(lam.parts[1:]):
+        tail += part
+        out *= 2 * tail - 1
+    return out
 
 
 def u_direct(lam: Partition) -> int:
@@ -284,7 +291,11 @@ def u_direct(lam: Partition) -> int:
     if all(part % 3 == 0 for part in lam.parts):
         mu = Partition(tuple(part // 3 for part in lam.parts))
         if is_binary_partition(mu):
-            return _u_rotated(_binary_vector(mu))
+            # the permutation rotates the three branches at a fixed vertex,
+            # and its cube acts with type mu on the leaves of one branch: r_mu
+            # trees there, on a leaf set that takes one of the three thirds of
+            # each cycle, and any of the three branches could be the first
+            return 3 ** (len(mu) - 1) * r_closed_form(mu)
     return 0
 
 
@@ -334,66 +345,19 @@ class _NoLeaf(NamedTuple):
     def u(self) -> int:
         if not self.size:
             return 0
-        value, rest = divmod(self.splits - self.r + 2 * self.half, 3)
-        if rest:
-            raise NonIntegerCoefficient(f"u at size {self.size} is not an integer")
-        return value
+        return _divide(self.splits - self.r + 2 * self.half, 3, f"u at size {self.size}")
 
 
 _NO_LEAF_EMPTY = _NoLeaf(0, 0, 0, 0)
 
 
-# -- fixed-tree counts on multiplicity vectors ------------------------------
-#
-# A binary partition is written as its multiplicity vector: entry a counts
-# the parts 2^a, and the last entry is nonzero.
-
-
-def _binary_vector(lam: Partition) -> tuple[int, ...]:
-    if not lam.parts:
-        return ()
-    mult = [0] * lam.parts[0].bit_length()
-    for part in lam.parts:
-        mult[part.bit_length() - 1] += 1
-    return tuple(mult)
-
-
-def _r_binary(mult: tuple[int, ...]) -> int:
-    """r_lam by the product formula, adding parts from the smallest up: each
-    part but the largest contributes 2 * (size so far) - 1."""
-    out, size = 1, 0
-    for a, m in enumerate(mult):
-        if m:
-            step = 2 << a
-            out *= math.prod(range(2 * size + step - 1, 2 * size + m * step, step))
-            size += m << a
-    return out // (2 * size - 1) if size else 0
-
-
-def _u_rotated(mu: tuple[int, ...]) -> int:
-    """u of 3 mu for binary mu.  The permutation rotates the three branches
-    at a fixed vertex, and its cube fixes each branch, acting on the leaves
-    of one branch with type mu: r_mu trees there, on a leaf set that takes
-    one of the three thirds of each cycle, and any of the three branches
-    could have been the first."""
-    return 3 ** (sum(mu) - 1) * _r_binary(mu)
-
-
 # -- counts ---------------------------------------------------------------
-
-
-def _divide(total: int, divisor: int, what: str) -> int:
-    """total / divisor, which must be an integer."""
-    value, rest = divmod(total, divisor)
-    if rest:
-        raise NonIntegerCount(f"{what} evaluated to non-integer {total}/{divisor}")
-    return value
 
 
 # Largest inputs the command line accepts on each path, so that no accepted
 # command runs for much more than a minute.  On a 2-core Xeon vCPU with
-# CPython 3.11 the four rooted tables (k = 3) take 6.4 s to n = 600, both
-# unrooted tables 4.1 s, and the series solve for zindex and gf grows about
+# CPython 3.11 the four rooted tables (k = 3) take 5.0 s to n = 600, both
+# unrooted tables 3.4 s, and the series solve for zindex and gf grows about
 # threefold every 5 degrees.
 TABLE_LIMIT = 600  # count_table for any family
 SERIES_LIMIT = 40  # anything that solves Z = p_1 + h_2[Z]
@@ -405,13 +369,8 @@ SERIES_LIMIT = 40  # anything that solves Z = p_1 + h_2[Z]
 # carried product, about (1 + p) n log n bits for a mu of p parts, the
 # PASS_SECONDS * (1 + p) term, and multiplies it by a block of about p log n
 # bits, the PART_SECONDS * p^1.75 term; max_n^3.2 stands in for max_n^3 log
-# max_n.  Whole tables on the same host, in seconds, median of five runs
-# (model in brackets): chain(10) to n = 600 3.5 [3.6], chain(50) to 400
-# 7.8 [8.0], chain(100) to 200 2.3 [2.5], chain(200) to 200 7.9 [7.4],
-# chain(1000) to 100 11.3 [11.9], chain-unordered(3) to 600 2.8 [2.6], (4)
-# to 600 4.8 [5.0], (5) to 600 8.1 [7.9], (20) to 60 0.76 [0.73], (20) to
-# 100 2.7 [2.9], (20) to 150 8.9 [9.2], (30) to 60 3.7 [3.5], (30) to 100
-# 15.4 [14.6].
+# max_n.  The 13 whole tables the constants were fitted to, timed on the same
+# host, are the rows of test_pass_model_within_15_percent.
 STEP_SECONDS = 5e-7
 PASS_SECONDS = 2.7e-10
 PART_SECONDS = 2.5e-11
@@ -491,7 +450,7 @@ def _fixed_point_table(
     over the parts j of mu of 2^min(a, b) below, counts the parts it leaves
     in all the nu^j together: the pass then holds the unrooted terms of the
     lam = 3 nu (g = 1), as z_{3nu} = 3^l(nu) z_nu and
-    u_{3nu^j} = 3^(l(nu^j)-1) r_{nu^j} (see _u_rotated).
+    u_{3nu^j} = 3^(l(nu^j)-1) r_{nu^j} (see u_direct).
 
     The product vanishes unless every lam^j is binary, which holds exactly
     when each part of lam is e * 2^a with e dividing g, the odd part of

@@ -1,5 +1,5 @@
-"""Shared builders for the tests: series, random partitions, the binary
-partitions that the reference sums run over, and a reference
+"""Shared builders for the tests: series, random partitions, permutations,
+the binary partitions that the reference sums run over, and a reference
 binary-partition pass that sums four-factor products."""
 
 import math
@@ -33,6 +33,30 @@ def random_series(rng, degree, max_terms=6, zero_constant=False):
         n = rng.randint(1 if zero_constant else 0, degree)
         terms[random_partition(rng, n)] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
     return CycleIndexSeries(terms, degree)
+
+
+def cycle_type(sigma: tuple[int, ...]) -> Partition:
+    """Cycle type of a permutation given as a tuple (i -> sigma[i-1])."""
+    n = len(sigma)
+    seen = [False] * n
+    lengths = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = sigma[j] - 1
+            length += 1
+        lengths.append(length)
+    lengths.sort(reverse=True)
+    return Partition(tuple(lengths))
+
+
+def compose(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
+    """(sigma . tau)(i) = sigma(tau(i))."""
+    return tuple(sigma[t - 1] for t in tau)
 
 
 def binary_partitions(n: int) -> Iterator[tuple[int, ...]]:

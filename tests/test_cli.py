@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import series
 from tanglecount import cli, oracle, species
 from tanglecount.cli import main
 from tanglecount.cycle_index import DegreeOutOfRange
@@ -332,6 +333,14 @@ class TestGf:
         assert code == 2
         assert "guard" in err
 
+    def test_non_integer_coefficient_is_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "binary_tree_cycle_index", lambda N: series(N, ((2,), 1, 3)))
+        code, out, err = run(capsys, "gf", "R", "--max-n", "2")
+        assert code == 1 and out == ""
+        assert err.startswith(
+            "internal error: NonIntegerCount: R-unlabeled at n = 2 evaluated to non-integer 1/3"
+        )
+
 
 class TestVerify:
     def test_passes_at_small_n(self, capsys):
@@ -339,6 +348,11 @@ class TestVerify:
         assert code == 0
         lines = out.splitlines()
         assert lines and all(line.startswith("PASS") for line in lines)
+
+    def test_passes_at_the_oracle_guard(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-n", str(oracle.ORACLE_LIMIT))
+        assert code == 0
+        assert out.splitlines() == [f"PASS {name}" for name in VERIFY_CHECKS]
 
     def test_trivial_single_tree(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-n", "1")
@@ -392,9 +406,10 @@ class TestVerify:
         assert out.splitlines() == [f"PASS {name}" for name in VERIFY_CHECKS]
 
     def test_guard_violation_exits_two(self, capsys):
-        code, _, err = run(capsys, "verify", "--max-n", "99")
-        assert code == 2
-        assert "guard" in err
+        for max_n in (oracle.ORACLE_LIMIT + 1, 99):
+            code, _, err = run(capsys, "verify", "--max-n", str(max_n))
+            assert code == 2
+            assert "guard" in err
 
 
 # Runs in a fresh interpreter: diffs sys.modules around importing the CLI and

@@ -176,9 +176,8 @@ class TestInnerPlethysmHn:
 
     def test_unordered_pair_counts_of_trees(self):
         zr = binary_tree_cycle_index(3)
-        unordered = inner_plethysm_hn(2, zr)
-        assert unordered.count_at_degree(2) == 1
-        assert unordered.count_at_degree(3) == 2
+        gf = inner_plethysm_hn(2, zr).unlabeled_gf()
+        assert gf[2:] == [1, 2]
 
     def test_h2_expansion(self):
         rng = random.Random(29)
@@ -217,25 +216,12 @@ class TestCountingSpecializations:
     def test_unlabeled_gf_zero_series(self):
         assert zero_series(3).unlabeled_gf() == [0, 0, 0, 0]
 
-    def test_count_at_degree_unrooted(self):
-        assert unrooted_tree_cycle_index(4).count_at_degree(4) == 1
+    def test_unlabeled_gf_of_unrooted_series(self):
+        assert unrooted_tree_cycle_index(4).unlabeled_gf() == [0, 0, 1, 1, 1]
 
-    def test_count_at_degree_rooted(self):
-        assert binary_tree_cycle_index(3).count_at_degree(3) == 1
-
-    def test_count_at_degree_zero_is_constant_term(self):
+    def test_unlabeled_gf_constant_term(self):
         f = series(3, ((), 7, 2), ((1,), 1, 1))
-        assert f.count_at_degree(0) == Fraction(7, 2)
-
-    def test_count_beyond_truncation_raises(self):
-        with pytest.raises(DegreeOutOfRange):
-            h_series(2).count_at_degree(3)
-
-    def test_gf_matches_count_at_degree(self):
-        f = random_series(random.Random(31), 6)
-        gf = f.unlabeled_gf()
-        for n in range(7):
-            assert gf[n] == f.count_at_degree(n)
+        assert f.unlabeled_gf() == [Fraction(7, 2), 1, 0, 0]
 
 
 class TestRendering:

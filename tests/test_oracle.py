@@ -3,11 +3,13 @@ from itertools import permutations
 
 import pytest
 
+from helpers import compose, cycle_type
 from tanglecount import (
     ROOTED_ORDERED,
     ROOTED_UNORDERED,
     UNROOTED_ORDERED,
     UNROOTED_UNORDERED,
+    NonIntegerCount,
     Partition,
     SizeLimitExceeded,
     binary_tree_cycle_index,
@@ -27,11 +29,8 @@ from tanglecount import (
     r_coefficient,
     z,
 )
-from tanglecount.oracle import (
-    compose,
-    cycle_type,
-    permutation_of_type,
-)
+from tanglecount import oracle
+from tanglecount.oracle import ORACLE_LIMIT, permutation_of_type
 
 # fixed_counts(n, unrooted) as computed by the former nested-tuple oracle,
 # one entry per cycle type in the order of sorted(lam.parts): 1^n first
@@ -405,7 +404,21 @@ class TestBurnsideCount:
 
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):
-            burnside_count(ROOTED_ORDERED, 8)
+            burnside_count(ROOTED_ORDERED, 9)
+
+    def test_agrees_with_count_table_at_the_guard(self):
+        n = ORACLE_LIMIT
+        for fam in (ROOTED_ORDERED, ROOTED_UNORDERED, UNROOTED_ORDERED,
+                    UNROOTED_UNORDERED, chain(3), chain_unordered(3)):
+            assert burnside_count(fam, n) == count_table(fam, n)[n], fam.label
+
+    def test_non_integer_sum_raises(self, monkeypatch):
+        # 15 trees fixed by the identity alone: 15 over the 4! relabelings
+        fixes = {lam: 0 for lam in partitions_of(4)}
+        fixes[Partition((1, 1, 1, 1))] = 15
+        monkeypatch.setattr(oracle, "fixed_counts", lambda n, unrooted: fixes)
+        with pytest.raises(NonIntegerCount, match="^Burnside sum for chain"):
+            burnside_count(chain(1), 4)
 
     def test_agrees_with_species_counts(self):
         families = [

@@ -8,14 +8,20 @@ from itertools import permutations
 
 import pytest
 
-from helpers import binary_partitions, from_vector, reference_fixed_point_table, series
+from helpers import (
+    binary_partitions,
+    cycle_type,
+    from_vector,
+    reference_fixed_point_table,
+    series,
+)
 from tanglecount import (
     ROOTED_ORDERED,
     ROOTED_UNORDERED,
     UNROOTED_ORDERED,
     UNROOTED_UNORDERED,
     DegreeOutOfRange,
-    NonIntegerCoefficient,
+    NonIntegerCount,
     Partition,
     TanglegramFamily,
     binary_tree_cycle_index,
@@ -38,7 +44,6 @@ from tanglecount import (
 )
 from tanglecount import species
 from tanglecount import u_direct
-from tanglecount.oracle import cycle_type
 
 P = Partition
 FOUR_KINDS = [ROOTED_ORDERED, ROOTED_UNORDERED, UNROOTED_ORDERED, UNROOTED_UNORDERED]
@@ -128,8 +133,10 @@ class TestRCoefficient:
 
     def test_non_integer_raises(self):
         bogus = series(2, ((2,), 1, 3))
-        with pytest.raises(NonIntegerCoefficient):
+        with pytest.raises(NonIntegerCount):
             r_coefficient(P((2,)), bogus)
+        with pytest.raises(NonIntegerCount, match="negative"):
+            r_coefficient(P((2,)), series(2, ((2,), -1, 2)))
 
     def test_beyond_truncation_raises(self):
         with pytest.raises(DegreeOutOfRange):
@@ -185,7 +192,7 @@ class TestUDirect:
         assert u_direct(P((1,) * 60)) == expected
 
     def test_non_integer_raises(self):
-        with pytest.raises(NonIntegerCoefficient):
+        with pytest.raises(NonIntegerCount):
             species._NoLeaf(4, 1, 0, 0).u()
 
 
@@ -305,9 +312,9 @@ class TestCount:
     def test_ordered_rooted_dual_route(self):
         # direct r_lam sum against the Kronecker-square route
         zr = binary_tree_cycle_index(8)
-        pair = zr.kronecker(zr)
+        gf = zr.kronecker(zr).unlabeled_gf()
         for n in range(1, 9):
-            assert count(ROOTED_ORDERED, n) == pair.count_at_degree(n)
+            assert count(ROOTED_ORDERED, n) == gf[n]
 
     def test_chain_one_is_unlabeled_trees(self):
         wet = wedderburn_etherington(10)
@@ -383,6 +390,17 @@ def unrooted_support_sum(n, unordered):
     return Fraction(total, math.factorial(n) * (2 if unordered else 1))
 
 
+def binary_partition_sum(n, k):
+    """count(chain(k), n) written out over the binary partitions of n, one
+    lam at a time: the sum of r_lam^k / z_lam, with r from the closed form
+    and no pass (Billey, Konvalinka & Matsen's sum for tangled chains)."""
+    total = 0
+    for mult in binary_partitions(n):
+        lam = from_vector(mult)
+        total += math.factorial(n) // z(lam) * r_closed_form(lam) ** k
+    return Fraction(total, math.factorial(n))
+
+
 class TestCountTable:
     def test_matches_series_route(self):
         # Kronecker powers of Z_R for tuples, h_k{Z_R} for multisets
@@ -395,9 +413,10 @@ class TestCountTable:
                 route = zr
                 for _ in range(k - 1):
                     route = route.kronecker(zr)
+            gf = route.unlabeled_gf()
             table = count_table(fam, N)
             for n in range(1, N + 1):
-                assert table[n] == route.count_at_degree(n), (fam.label, n)
+                assert table[n] == gf[n], (fam.label, n)
 
     def test_matches_restricted_support_sum(self):
         # k up to 6 reaches the non-binary lam of mu = (3,), (3,3), (5,), (6,);
@@ -460,13 +479,13 @@ class TestCountTable:
         # Kronecker square and h_2{.} of Z_U
         N = 22
         zu = unrooted_tree_cycle_index(N)
-        pairs = zu.kronecker(zu)
-        unordered = inner_plethysm_hn(2, zu)
+        pairs = zu.kronecker(zu).unlabeled_gf()
+        unordered = inner_plethysm_hn(2, zu).unlabeled_gf()
         ordered_table = count_table(UNROOTED_ORDERED, N)
         unordered_table = count_table(UNROOTED_UNORDERED, N)
         for n in range(2, N + 1):
-            assert ordered_table[n] == pairs.count_at_degree(n), n
-            assert unordered_table[n] == unordered.count_at_degree(n), n
+            assert ordered_table[n] == pairs[n], n
+            assert unordered_table[n] == unordered[n], n
 
     def test_unrooted_matches_support_sum(self):
         # 8552 lam at n = 96, and none of the form 3 nu at 61
@@ -474,6 +493,11 @@ class TestCountTable:
             for n in (61, 96):
                 assert count_table(fam, n)[n] == unrooted_support_sum(n, unordered), (
                     fam.label, n)
+
+    def test_rooted_matches_binary_partition_sum_at_100(self):
+        # 9828 binary lam |- 100; rooted-ordered is chain(2)
+        for fam, k in ((ROOTED_ORDERED, 2), (chain(3), 3)):
+            assert count_table(fam, 100)[100] == binary_partition_sum(100, k), fam.label
 
     def test_unrooted_families_share_the_no_leaf_pass(self):
         species._no_leaf_table.cache_clear()
@@ -511,8 +535,8 @@ class TestCountTable:
         # a single pass over the bound, refused without listing more types
         assert "parts" in species.table_guard(chain(10**6), 1)
 
-    # whole tables timed on a 2-core Xeon vCPU with CPython 3.11, median of
-    # five runs, the rows of the comment above species.STEP_SECONDS
+    # whole tables timed on a 2-core Xeon vCPU with CPython 3.11, in-process
+    # count_table in a fresh process each, median of five runs
     @pytest.mark.parametrize(
         "family, max_n, measured",
         [
