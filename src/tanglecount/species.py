@@ -45,9 +45,10 @@ Z_U = h_3[Z] + p_1 Z + Z - Z^2 - p_1.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, NamedTuple
 
 from .partitions import Partition, is_binary_partition, iter_partitions, z
@@ -374,6 +375,11 @@ SERIES_LIMIT = 40  # anything that solves Z = p_1 + h_2[Z]
 STEP_SECONDS = 5e-7
 PASS_SECONDS = 2.7e-10
 PART_SECONDS = 2.5e-11
+# The command line then prints each count in decimal, which CPython 3.11
+# does in time quadratic in its digits d: PRINT_SECONDS * d^2 fits printing
+# the tables of chain(30) to 600, chain(100) to 200 and chain(1000) to 100
+# (1.6e-11 to 1.8e-11 s per digit^2 on the same host, 6.5 s, 1.9 s and 15.9 s).
+PRINT_SECONDS = 1.8e-11
 PASS_SECONDS_LIMIT = 40.0  # between chain-unordered(9) and (10) to 600
 # The guard lists G's cycle types until the parts of the distinct passes
 # would pass this bound (k <= 30 for S_k), which takes 0.2 s or less.
@@ -404,19 +410,34 @@ def _pass_seconds(parts: int, max_n: int) -> float:
     return STEP_SECONDS * max_n**2 + carry * max_n**3.2
 
 
+def _print_seconds(family: TanglegramFamily, max_n: int) -> float:
+    """The modelled time of printing the counts of the family to max_n:
+    the count at n has about d(n) = log10(((2n-3)!!)^k / (n! |G|)) digits,
+    taken with lgamma, so that neither k! nor the counts are computed."""
+    k = family.trees
+    log_order = math.lgamma(k + 1) if _KINDS[family.kind].symmetric else 0.0
+    digits2 = 0.0
+    for n in range(family.min_n, max_n + 1):
+        # (2n-3)!! = (2n-2)! / (2^(n-1) (n-1)!)
+        trees = math.lgamma(2 * n - 1) - (n - 1) * math.log(2) - math.lgamma(n)
+        digits = (k * trees - math.lgamma(n + 1) - log_order) / math.log(10)
+        digits2 += max(digits, 0.0) ** 2
+    return PRINT_SECONDS * digits2
+
+
 def table_guard(family: TanglegramFamily, max_n: int) -> str | None:
     """Why the command line refuses count_table(family, max_n), or None.
 
-    max_n is held to TABLE_LIMIT.  The pass guard then sums
-    the estimated time of the passes, one per _pass_key of G's cycle types,
-    and their parts.  The types are listed one at a time and the sums
-    checked after each new pass, so that a large k is refused after a few
-    types, without k! or the p(k) types of S_k.
+    max_n is held to TABLE_LIMIT.  The pass guard then sums the estimated
+    time of printing the counts and of the passes, one per _pass_key of G's
+    cycle types, and the passes' parts.  The types are listed one at a time
+    and the sums checked after each new pass, so that a large k is refused
+    after a few types, without k! or the p(k) types of S_k.
     """
     if max_n > TABLE_LIMIT:
         return f"n is over the table guard {TABLE_LIMIT}"
     keys: set[PassKey] = set()
-    parts, seconds = 0, 0.0
+    parts, seconds = 0, _print_seconds(family, max_n)
     for mu in family.group_types():
         if parts + len(mu) > PASS_PARTS_LIMIT:
             return (
@@ -430,7 +451,10 @@ def table_guard(family: TanglegramFamily, max_n: int) -> str | None:
         parts += len(mu)
         seconds += _pass_seconds(len(mu), max_n)
         if seconds > PASS_SECONDS_LIMIT:
-            return f"its passes would take over {PASS_SECONDS_LIMIT:g} s, the pass guard"
+            return (
+                f"its passes and printing would take over {PASS_SECONDS_LIMIT:g} s, "
+                "the pass guard"
+            )
     return None
 
 
@@ -527,9 +551,8 @@ def _grow_products(carry: tuple[int, ...], size: int) -> tuple[int, ...]:
     )
 
 
-# Both unrooted families of one run read the same pass; tuples, so that no
-# caller can change the cached sums.
-@lru_cache(maxsize=1)
+# Read through the pass store (_PassStore) like every _fixed_point_table
+# pass, so that both unrooted families and every smaller max_n share a build.
 def _no_leaf_table(max_n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two sums over the binary lam |- n with no part 1, for each n <= max_n:
     n!/z_lam times u_lam^2 (the term of mu = 1^2), and n!/z_lam times
@@ -579,6 +602,64 @@ def _no_leaf_table(max_n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(squares), tuple(powers)
 
 
+# Bytes the pass store may hold, each table charged by _table_bytes: enough
+# that a counts run of the six families (k = 3) to n = 600 builds each of
+# its 10 passes once (a 2 MiB store rebuilt the no-leaf pass there, 0.8 s).
+PASS_STORE_BYTES = 4 << 20
+
+
+def _table_bytes(table: tuple) -> int:
+    """The bytes charged for a stored table: its tuple, and each entry as
+    many as its largest, by sys.getsizeof; the no-leaf pass, a pair of
+    tables, is charged for both.
+
+    Entries grow with n, so this is about twice the objects' own bytes.
+    The margin is the allocator's: in one process, entries that outlive
+    the ints freed around them while each pass was built leave memory
+    partly used, and the peak RSS that a full store added measured 1.4 to
+    1.7 times its objects' bytes."""
+    if isinstance(table[0], tuple):
+        return sys.getsizeof(table) + sum(map(_table_bytes, table))
+    return sys.getsizeof(table) + len(table) * max(map(sys.getsizeof, table))
+
+
+class _PassStore:
+    """Every pass that count_table reads, by its key: (g, valuations, leaf,
+    rotated) for a _fixed_point_table pass, "no-leaf" for _no_leaf_table.
+    A pass depends on its key only, never on the family, and entry n is
+    summed from smaller bases only, so a table built to the largest max_n
+    asked for so far answers any smaller max_n by indexing; a larger max_n
+    rebuilds it.
+
+    The tables are tuples, so that no caller can change them.  The store
+    holds them to PASS_STORE_BYTES by dropping the least recently used, and
+    returns a table larger than that without keeping it."""
+
+    def __init__(self):
+        self.tables: dict = {}  # key: (max_n, table, bytes), least recent first
+        self.held = 0
+
+    def get(self, key, max_n: int, build) -> tuple:
+        """The table of key to at least max_n, from build(max_n) if needed."""
+        entry = self.tables.pop(key, None)
+        if entry is not None:
+            if entry[0] >= max_n:
+                self.tables[key] = entry
+                return entry[1]
+            self.held -= entry[2]
+        table = tuple(build(max_n))
+        size = _table_bytes(table)
+        if size <= PASS_STORE_BYTES:
+            self.tables[key] = (max_n, table, size)
+            self.held += size
+            while self.held > PASS_STORE_BYTES:
+                self.held -= self.tables.pop(next(iter(self.tables)))[2]
+        return table
+
+
+_passes = _PassStore()
+
+
 def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
     """Counts of the family for every n <= max_n: index n holds the count
     with n leaves, and the sizes below family.min_n hold 0.
@@ -591,7 +672,9 @@ def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
     support in three pieces for each pass key: a pass rooted at a fixed
     leaf for the lam with a part 1 (u_lam is r of lam less that part, and
     so is each u_{lam^j}), _no_leaf_table for the other binary lam, read by
-    mu, and a rotated pass to max_n/3 for the lam = 3 nu.
+    mu, and a rotated pass to max_n/3 for the lam = 3 nu.  Every pass is
+    read through the pass store (_PassStore), so a pass that an earlier
+    call built, for any family and to at least max_n, is not built again.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -605,10 +688,11 @@ def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
     totals = [0] * (max_n + 1)
     if leaf:
         # the binary lam with no part 1, by the valuations of mu = 1^2, (2)
-        no_leaf = dict(zip([(0, 0), (1,)], _no_leaf_table(max_n)))
+        no_leaf = dict(zip([(0, 0), (1,)], _passes.get("no-leaf", max_n, _no_leaf_table)))
     for (g, valuations), weight in passes.items():
         parts = len(valuations)
-        sums = _fixed_point_table(g, valuations, max_n, leaf)
+        build = partial(_fixed_point_table, g, valuations, leaf=leaf)
+        sums = _passes.get((g, valuations, leaf, False), max_n, build)
         sign = -1 if leaf and parts % 2 else 1  # the leaf's own factor -1 per part of mu
         for n in range(family.min_n, max_n + 1):
             totals[n] += sign * weight * sums[n] * tops[n] ** (k - parts)
@@ -620,7 +704,8 @@ def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
         # with z_{3nu} = 3^l(nu) z_nu and u_{3nu^j} = 3^(l(nu^j)-1) r_{nu^j},
         # the rotated pass at m is m!/n! times the sum at n = 3m times
         # (3 (2m - 1))^l(mu), and 3 (2m - 1) = tops[n]
-        rotated = _fixed_point_table(g, valuations, max_n // 3, rotated=True)
+        build = partial(_fixed_point_table, g, valuations, rotated=True)
+        rotated = _passes.get((g, valuations, False, True), max_n // 3, build)
         for m in range(1, max_n // 3 + 1):
             n = 3 * m
             totals[n] += weight * math.perm(n, 2 * m) * rotated[m] * tops[n] ** (k - parts)
@@ -633,8 +718,10 @@ def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
 
 def count(family: TanglegramFamily, n: int) -> int:
     """Number of unlabeled structures of the family with n leaves:
-    count_table(family, n)[n].  Each call builds the table to n, so a run
-    of sizes is cheaper from one count_table call."""
+    count_table(family, n)[n].  Every family and every call shares one
+    store of passes, each built once to the largest n asked for so far, so
+    a run of count calls builds no pass twice below that n; the store keeps
+    at most PASS_STORE_BYTES, dropping the least recently used passes."""
     if n < family.min_n:
         raise ValueError(f"{family.label} requires n >= {family.min_n}, got {n}")
     return count_table(family, n)[n]

@@ -220,8 +220,9 @@ def test_criterion_09_algebra_property_suite():
     )
 
 
-def test_criterion_10_performance_envelope():
+def test_criterion_10_performance_envelope(monkeypatch):
     clear_series_caches()
+    monkeypatch.setattr(species, "_passes", species._PassStore())  # no stored passes
     families = [
         ROOTED_ORDERED,
         ROOTED_UNORDERED,

@@ -177,10 +177,12 @@ class TestZ:
         assert set(caches) == {
             "species.binary_tree_cycle_index",
             "species.unrooted_tree_cycle_index",
-            "species._no_leaf_table",
             "oracle._fixed_table",
         }
         assert all(maxsize is not None for maxsize in caches.values()), caches
+        # the fourth cache, the pass store, is held to a byte budget
+        assert isinstance(species._passes, species._PassStore)
+        assert 0 < species.PASS_STORE_BYTES <= 4 << 20
 
 
 class TestPowerType:

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -499,14 +500,20 @@ class TestCountTable:
         for fam, k in ((ROOTED_ORDERED, 2), (chain(3), 3)):
             assert count_table(fam, 100)[100] == binary_partition_sum(100, k), fam.label
 
-    def test_unrooted_families_share_the_no_leaf_pass(self):
-        species._no_leaf_table.cache_clear()
+    def test_unrooted_families_share_the_no_leaf_pass(self, monkeypatch):
+        builds = []
+        build = species._no_leaf_table
+
+        def counted(max_n):
+            builds.append(max_n)
+            return build(max_n)
+
+        monkeypatch.setattr(species, "_no_leaf_table", counted)
+        monkeypatch.setattr(species, "_passes", species._PassStore())
         ordered = count_table(UNROOTED_ORDERED, 30)
         unordered = count_table(UNROOTED_UNORDERED, 30)
-        info = species._no_leaf_table.cache_info()
-        assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
-        # the cached sums are tuples, so no caller can change them
-        assert all(isinstance(sums, tuple) for sums in species._no_leaf_table(30))
+        assert count_table(UNROOTED_ORDERED, 20) == ordered[:21]
+        assert builds == [30]
         for n in range(2, 31):
             assert ordered[n] == unrooted_support_sum(n, False), n
             assert unordered[n] == unrooted_support_sum(n, True), n
@@ -560,6 +567,21 @@ class TestCountTable:
         model = sum(species._pass_seconds(p, max_n) for p in parts.values())
         assert abs(model / measured - 1) <= 0.15
 
+    # printing the whole table in decimal, timed on the same host
+    @pytest.mark.parametrize(
+        "family, max_n, measured",
+        [(chain(30), 600, 6.51), (chain(100), 200, 1.91), (chain(1000), 100, 15.89)],
+    )
+    def test_print_model_within_15_percent(self, family, max_n, measured):
+        assert abs(species._print_seconds(family, max_n) / measured - 1) <= 0.15
+
+    def test_guard_charges_printing(self):
+        # 33.7 s of passes and 48.8 s of printing
+        assert "printing" in species.table_guard(chain(500), 200)
+        # 14.1 s and 6.9 s
+        assert species.table_guard(chain(30), 600) is None
+        assert species.table_guard(chain(100), 200) is None
+
     def test_non_integer_count_message(self):
         # total/divisor as given, without reducing the fraction
         with pytest.raises(
@@ -567,6 +589,84 @@ class TestCountTable:
         ):
             species._divide(14, 4, "chain(k=3)")
         assert species._divide(12, 4, "chain(k=3)") == 3
+
+
+STORE_FAMILIES = [
+    ROOTED_ORDERED,
+    ROOTED_UNORDERED,
+    UNROOTED_ORDERED,
+    UNROOTED_UNORDERED,
+    *(chain(k) for k in (2, 3, 4)),
+    *(chain_unordered(k) for k in (2, 3, 4)),
+]
+
+
+class TestPassStore:
+    @pytest.fixture(autouse=True)
+    def empty_store(self, monkeypatch):
+        monkeypatch.setattr(species, "_passes", species._PassStore())
+
+    @pytest.mark.parametrize("order", ["descending", "ascending", "shuffled"])
+    def test_count_in_any_order_matches_table(self, order, monkeypatch):
+        tables = {}
+        for fam in STORE_FAMILIES:
+            monkeypatch.setattr(species, "_passes", species._PassStore())
+            tables[fam] = count_table(fam, 40)
+        monkeypatch.setattr(species, "_passes", species._PassStore())
+        queries = [(fam, n) for fam in STORE_FAMILIES for n in range(fam.min_n, 41)]
+        if order == "descending":
+            queries.sort(key=lambda query: -query[1])
+        elif order == "shuffled":
+            random.Random(13).shuffle(queries)
+        for fam, n in queries:
+            assert count(fam, n) == tables[fam][n], (fam.label, n)
+
+    def test_stored_tables_are_tuples(self):
+        for fam in STORE_FAMILIES:
+            count_table(fam, 20)
+        stored = species._passes.tables
+        assert "no-leaf" in stored and len(stored) > 10
+        for max_n, table, size in stored.values():
+            assert isinstance(table, tuple) and size == species._table_bytes(table)
+        assert all(isinstance(sums, tuple) for sums in stored["no-leaf"][1])
+
+    def test_held_bytes_within_budget(self):
+        count_table(chain_unordered(20), 100)
+        store = species._passes
+        assert store.held == sum(size for _, _, size in store.tables.values())
+        assert species.PASS_STORE_BYTES / 2 < store.held <= species.PASS_STORE_BYTES
+
+    def test_table_over_budget_is_returned_not_kept(self, monkeypatch):
+        expected = count_table(chain(3), 30)
+        store = species._PassStore()
+        monkeypatch.setattr(species, "_passes", store)
+        monkeypatch.setattr(species, "PASS_STORE_BYTES", 500)
+        count_table(ROOTED_ORDERED, 3)
+        kept = dict(store.tables)
+        assert len(kept) == 1 and store.held <= 500
+        # chain(3)'s one pass to 30 is over the budget: returned, not kept,
+        # and nothing else is dropped for it
+        assert count_table(chain(3), 30) == expected
+        assert store.tables == kept
+
+    def test_least_recently_used_is_dropped(self, monkeypatch):
+        store = species._PassStore()
+        size = species._table_bytes((10**20,) * 3)
+        monkeypatch.setattr(species, "PASS_STORE_BYTES", 2 * size)
+        builds = []
+
+        def build(max_n):
+            builds.append(max_n)
+            return [10**20] * (max_n + 1)
+
+        store.get("a", 2, build)
+        store.get("b", 2, build)
+        assert store.get("a", 1, build) == (10**20,) * 3  # a prefix, read by index
+        store.get("c", 2, build)  # drops b, the least recently used
+        assert list(store.tables) == ["a", "c"] and store.held == 2 * size
+        store.get("a", 3, build)  # rebuilt to 3, over budget with c
+        assert list(store.tables) == ["a"]
+        assert builds == [2, 2, 2, 3]
 
 
 class TestUnrootedAtTheGuard:
