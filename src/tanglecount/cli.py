@@ -32,13 +32,7 @@ def _resolve_families(names: list[str], k: int) -> list[TanglegramFamily]:
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
     # drop duplicates, keep command-line order
-    seen: set[TanglegramFamily] = set()
-    unique = []
-    for fam in families:
-        if fam not in seen:
-            seen.add(fam)
-            unique.append(fam)
-    return unique
+    return list(dict.fromkeys(families))
 
 
 # -- output rendering -----------------------------------------------------

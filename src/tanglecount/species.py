@@ -33,7 +33,9 @@ of the unrooted species.  Each rule gives binary-partition passes, so no
 term is summed one lam at a time: the lam with a part 1 are the rooted
 passes, rooted at that leaf; the lam = 3 nu are the rooted passes over
 nu, with a power of 3 per part; and the binary lam with no part 1 are
-one pass that carries sums of products of the dissymmetry terms.
+one pass that carries sums of products of u and half = 2^l(lam) r_{lam/2},
+which the dissymmetry decomposition grows by u' = (2m - 3) u + half and
+half' = 2 (m - 1) half as each part joins a lam of size m.
 
 No count goes through a series, and cycle_index loads only when a series
 is asked for.  The series route stays as the independent cross-check: the
@@ -280,15 +282,42 @@ def u_direct(lam: Partition) -> int:
                                  that fixed leaf)
       lam = 3 mu, mu binary      3^(l(mu)-1) r_mu (root it at the vertex
                                  whose three branches the permutation rotates)
-      lam binary, no part 1      the dissymmetry count of _NoLeaf
+      lam binary, no part 1      the dissymmetry count below
+
+    On a binary lam with no part 1, let S be the sum over the ordered splits
+    (A, R) of the cycles of lam of r_A * 2^l(R) * r_{R/2}, where r of the
+    empty partition is 0, and half = 2^l(lam) * r_{lam/2}.  Dissymmetry
+    gives 6 u = T3 + 3 S + 6 r - 6 T2 on such a lam, with T2 and T3 the sums
+    of r_A r_B and r_A r_B r_C over ordered splits into two and three parts
+    (the leaf terms of Z_U = h_3[Z] + p_1 Z + Z - Z^2 - p_1 vanish, and so
+    does p_3[Z] on a binary lam).  The rooted equation Z = p_1 + h_2[Z] read
+    on lam gives 2 r = T2 + half, and read on each B = lam - A inside
+    T3 = sum over A of r_A T2(B) it gives T3 = 2 T2 - S.  So
+    3 u = S - r + 2 half.
+
+    Grow lam by a part at least as large as every part of lam, with
+    m = |lam|; as in r's product formula, only m enters.  The new cycle c
+    joins A or R of each split of lam.  Joining a nonempty A multiplies r_A
+    by 2|A| - 1, joining a nonempty R multiplies 2^l(R) r_{R/2} by
+    2 (|R| - 1): together 2m - 3.  The splits with A = {c} add half, those
+    with R = {c} add 2 r.  So S' = (2m - 3) S + half + 2 r,
+    r' = (2m - 1) r and half' = 2 (m - 1) half, and r cancels:
+
+      3 u' = (2m - 3) S + half + 2 r - (2m - 1) r + 4 (m - 1) half
+           = (2m - 3) (S - r + 2 half) + 3 half
+      u'   = (2m - 3) u + half,   half' = 2 (m - 1) half
+
+    from a single part's u = 1 and half = 2 (S = 0, r = 1).
     """
     if is_binary_partition(lam):
         if not lam.parts or lam.parts[-1] == 1:
             return r_closed_form(Partition(lam.parts[:-1]))
-        state = _NO_LEAF_EMPTY
-        for part in reversed(lam.parts):
-            state = state.grow(part)
-        return state.u()
+        # from the smallest part up
+        u, half, size = 1, 2, lam.parts[-1]
+        for part in reversed(lam.parts[:-1]):
+            u, half = (2 * size - 3) * u + half, 2 * (size - 1) * half
+            size += part
+        return u
     if all(part % 3 == 0 for part in lam.parts):
         mu = Partition(tuple(part // 3 for part in lam.parts))
         if is_binary_partition(mu):
@@ -300,65 +329,13 @@ def u_direct(lam: Partition) -> int:
     return 0
 
 
-class _NoLeaf(NamedTuple):
-    """What u needs of a binary lam with no part 1, grown one part at a time
-    from the smallest part up:
-
-      size    |lam|
-      splits  S, the sum over the ordered splits (A, R) of the cycles of lam
-              of r_A * 2^l(R) * r_{R/2}, where r of the empty partition is 0
-      r       r_lam
-      half    2^l(lam) * r_{lam/2}
-
-    Dissymmetry gives 6 u = T3 + 3 S + 6 r - 6 T2 on such a lam, with T2
-    and T3 the sums of r_A r_B and r_A r_B r_C over ordered splits into two
-    and three parts (the leaf terms of Z_U = h_3[Z] + p_1 Z + Z - Z^2 - p_1
-    vanish, and so does p_3[Z] on a binary lam).  The rooted equation
-    Z = p_1 + h_2[Z] read on lam gives 2 r = T2 + half, and read on each
-    B = lam - A inside T3 = sum over A of r_A T2(B) it gives
-    T3 = 2 T2 - S.  So 3 u = S - r + 2 half.
-    """
-
-    size: int
-    splits: int
-    r: int
-    half: int
-
-    def grow(self, part: int) -> "_NoLeaf":
-        """The state of lam + (part,), for a part at least as large as every
-        part of lam; only lam's size enters, as in r's product formula.
-
-        The new cycle c joins A or R of each split of lam.  Joining a
-        nonempty A multiplies r_A by 2|A| - 1, joining a nonempty R
-        multiplies 2^l(R) r_{R/2} by 2 (|R| - 1): together 2 |lam| - 3.  The
-        splits with A = {c} add half(lam), those with R = {c} add 2 r_lam.
-        """
-        size = self.size
-        if not size:
-            return _NoLeaf(part, 0, 1, 2)
-        return _NoLeaf(
-            size + part,
-            (2 * size - 3) * self.splits + self.half + 2 * self.r,
-            (2 * size - 1) * self.r,
-            2 * (size - 1) * self.half,
-        )
-
-    def u(self) -> int:
-        if not self.size:
-            return 0
-        return _divide(self.splits - self.r + 2 * self.half, 3, f"u at size {self.size}")
-
-
-_NO_LEAF_EMPTY = _NoLeaf(0, 0, 0, 0)
-
-
 # -- counts ---------------------------------------------------------------
 
 
 # Largest inputs the command line accepts on each path, so that no accepted
 # command runs for much more than a minute.  On a 2-core Xeon vCPU with
-# CPython 3.11 the four rooted tables (k = 3) take 5.0 s to n = 600, both
-# unrooted tables 3.4 s, and the series solve for zindex and gf grows about
+# CPython 3.11 the four rooted tables (k = 3) take 3.8 s to n = 600, both
+# unrooted tables 1.9 s, and the series solve for zindex and gf grows about
 # threefold every 5 degrees.
 TABLE_LIMIT = 600  # count_table for any family
 SERIES_LIMIT = 40  # anything that solves Z = p_1 + h_2[Z]
@@ -535,22 +512,6 @@ def _fixed_point_table(
     return table
 
 
-def _grow_products(carry: tuple[int, ...], size: int) -> tuple[int, ...]:
-    """The tensor square of _NoLeaf.grow: the sums (SS, Sr, Sh, rr, rh, hh)
-    of the products of two of (splits, r, half) after one more part, over
-    lams of running size size.  Like grow, only size enters."""
-    SS, Sr, Sh, rr, rh, hh = carry
-    a, b, c = 2 * size - 3, 2 * size - 1, 2 * (size - 1)
-    return (
-        a * a * SS + 4 * a * Sr + 2 * a * Sh + 4 * rr + 4 * rh + hh,
-        b * (a * Sr + 2 * rr + rh),
-        c * (a * Sh + 2 * rh + hh),
-        b * b * rr,
-        b * c * rh,
-        c * c * hh,
-    )
-
-
 # Read through the pass store (_PassStore) like every _fixed_point_table
 # pass, so that both unrooted families and every smaller max_n share a build.
 def _no_leaf_table(max_n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -560,19 +521,20 @@ def _no_leaf_table(max_n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     One pass over part sizes s = 2, 4, 8, ..., built like
     _fixed_point_table, carries at each running size the sums, weighted by
-    n!/z_lam, of the six products of two of lam's _NoLeaf entries
-    (_grow_products), from which 9 u^2 = SS + rr + 4hh - 2Sr + 4Sh - 4rh, and
-    of lam^2's _NoLeaf entries, grown by two parts s/2 for each part s:
-    grow is linear in the entries at a fixed size.  A lam^2 with parts 1
-    (lam has a part 2) needs no other rule: from its second part on half
-    vanishes and S - r stays 3 times r of lam^2 less one part 1, so
-    3 u = S - r + 2 half holds on it too.
+    n!/z_lam, of the three products of two of lam's (U, half), with U = 3u,
+    and of lam^2's (U, half), grown by two parts s/2 for each part s.  Each
+    part grows them by u_direct's step U' = (2m - 3) U + 3 half,
+    half' = 2 (m - 1) half at m = |lam|, which is linear at a fixed m.  A
+    lam^2 with parts 1 (lam has a part 2) needs no other rule: grown from a
+    single part 1, half vanishes from its second part on and u stays r of
+    lam^2 less one part 1, whose product formula gains 2m - 3 too.
 
-    The empty lam enters with splits = r = half = -1, the entries that the
-    step at size 0 takes to those of a single part, (0, 1, 2).
+    The empty lam enters with U = -2 and half = -1 (their products 4, 2,
+    1), the entries that the step at m = 0 takes to those of a single part,
+    U = 3 and half = 2.
     """
-    # index n: SS, Sr, Sh, rr, rh, hh of lam, then splits, r, half of lam^2
-    table = [(1,) * 6 + (-1,) * 3] + [(0,) * 9] * max_n
+    # index n: UU, Uh, hh of lam, then U, half of lam^2
+    table = [(4, 2, 1, -2, -1)] + [(0,) * 5] * max_n
     s = 2
     while s <= max_n:
         # from the top down, as in _fixed_point_table
@@ -582,23 +544,31 @@ def _no_leaf_table(max_n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 continue
             for m in range(1, (max_n - base) // s + 1):
                 size = base + (m - 1) * s
-                square = _NoLeaf(size, *carry[6:]).grow(s >> 1).grow(s >> 1)
+                a, c = 2 * size - 3, 2 * (size - 1)
+                UU, Uh, hh, U, half = carry
+                # lam gains a part s at size; lam^2 gains a part s/2 there and
+                # another at size + s/2, where the step's factors are a + s, c + s
+                grown = (
+                    a * a * UU + 6 * a * Uh + 9 * hh,
+                    c * (a * Uh + 3 * hh),
+                    c * c * hh,
+                    (a + s) * (a * U + 3 * half) + 3 * c * half,
+                    (c + s) * c * half,
+                )
                 top = size + s
                 # carry becomes C(top, base) * (the permutations of top - base
                 # points in m cycles of length s) times the integer entries
-                # grown from table[base] (grow is linear at size > 0, and at
-                # size 0 carry is table[0]), so the quotient is exact
+                # grown from table[base] (the step is linear at size > 0, and
+                # at size 0 carry is table[0]), so the quotient is exact
                 scale = math.perm(top, s)
-                grown = _grow_products(carry[:6], size) + square[1:]
                 carry = tuple(x * scale // (s * m) for x in grown)
                 table[top] = tuple(x + y for x, y in zip(table[top], carry))
         s *= 2
     squares, powers = [0] * (max_n + 1), [0] * (max_n + 1)
     for n in range(2, max_n + 1):
-        SS, Sr, Sh, rr, rh, hh, splits, r, half = table[n]
-        nine_u2 = SS + rr + 4 * hh - 2 * Sr + 4 * Sh - 4 * rh
-        squares[n] = _divide(nine_u2, 9, f"sum of u_lam^2 at {n}")
-        powers[n] = _divide(splits - r + 2 * half, 3, f"sum of u_(lam^2) at {n}")
+        UU, _, _, U, _ = table[n]
+        squares[n] = _divide(UU, 9, f"sum of u_lam^2 at {n}")
+        powers[n] = _divide(U, 3, f"sum of u_(lam^2) at {n}")
     return tuple(squares), tuple(powers)
 
 

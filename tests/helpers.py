@@ -1,6 +1,7 @@
 """Shared builders for the tests: series, random partitions, permutations,
-the binary partitions that the reference sums run over, and a reference
-binary-partition pass that sums four-factor products."""
+the binary partitions that the reference sums run over, a reference
+binary-partition pass that sums four-factor products, and a reference
+no-leaf pass that carries the dissymmetry terms (S, r, half)."""
 
 import math
 from collections import Counter
@@ -141,3 +142,77 @@ def reference_fixed_point_table(g, valuations, max_n, leaf=False, rotated=False)
         table = grown
         s, a = 2 * s, a + 1
     return table
+
+
+def no_leaf_grow(state, part):
+    """The dissymmetry terms (size, S, r, half) of a binary lam with no part
+    1 (see species.u_direct), grown by a part at least as large as every
+    part of lam; the empty lam is (0, 0, 0, 0)."""
+    size, splits, r, half = state
+    if not size:
+        return part, 0, 1, 2
+    return (
+        size + part,
+        (2 * size - 3) * splits + half + 2 * r,
+        (2 * size - 1) * r,
+        2 * (size - 1) * half,
+    )
+
+
+def reference_u(lam):
+    """u_lam = (S - r + 2 half)/3 of a binary lam with no part 1, from
+    no_leaf_grow over the parts, the smallest first."""
+    state = (0, 0, 0, 0)
+    for part in reversed(lam.parts):
+        state = no_leaf_grow(state, part)
+    _, splits, r, half = state
+    u, rest = divmod(splits - r + 2 * half, 3)
+    assert not rest, lam
+    return u
+
+
+def _grow_products(carry, size):
+    """The tensor square of no_leaf_grow: the sums (SS, Sr, Sh, rr, rh, hh)
+    of the products of two of (S, r, half) after one more part, over lams
+    of running size size."""
+    SS, Sr, Sh, rr, rh, hh = carry
+    a, b, c = 2 * size - 3, 2 * size - 1, 2 * (size - 1)
+    return (
+        a * a * SS + 4 * a * Sr + 2 * a * Sh + 4 * rr + 4 * rh + hh,
+        b * (a * Sr + 2 * rr + rh),
+        c * (a * Sh + 2 * rh + hh),
+        b * b * rr,
+        b * c * rh,
+        c * c * hh,
+    )
+
+
+def reference_no_leaf_table(max_n):
+    """species._no_leaf_table by the nine sums of (S, r, half): the six
+    products of two of lam's terms, from which 9 u^2 = SS + rr + 4hh - 2Sr
+    + 4Sh - 4rh, and lam^2's three terms, from which 3 u = S - r + 2 half.
+    The empty lam enters with S = r = half = -1, which the step at size 0
+    takes to a single part's (0, 1, 2)."""
+    table = [(1,) * 6 + (-1,) * 3] + [(0,) * 9] * max_n
+    s = 2
+    while s <= max_n:
+        for base in range(max_n - s, -1, -1):
+            carry = table[base]
+            if not any(carry):
+                continue
+            for m in range(1, (max_n - base) // s + 1):
+                size = base + (m - 1) * s
+                square = no_leaf_grow(no_leaf_grow((size, *carry[6:]), s >> 1), s >> 1)
+                top = size + s
+                grown = _grow_products(carry[:6], size) + square[1:]
+                carry = tuple(x * math.perm(top, s) // (s * m) for x in grown)
+                table[top] = tuple(x + y for x, y in zip(table[top], carry))
+        s *= 2
+    squares, powers = [0] * (max_n + 1), [0] * (max_n + 1)
+    for n in range(2, max_n + 1):
+        SS, Sr, Sh, rr, rh, hh, splits, r, half = table[n]
+        squares[n], rest = divmod(SS + rr + 4 * hh - 2 * Sr + 4 * Sh - 4 * rh, 9)
+        assert not rest, n
+        powers[n], rest = divmod(splits - r + 2 * half, 3)
+        assert not rest, n
+    return tuple(squares), tuple(powers)

@@ -60,6 +60,15 @@ class TestCounts:
         families = [line.split("\t")[0] for line in out.splitlines()[1:]]
         assert families == ["rooted-unordered"] * 3 + ["rooted-ordered"] * 3
 
+    def test_repeated_family_printed_once_in_first_place(self, capsys):
+        code, out, _ = run(
+            capsys, "counts", "--family", "chain", "--family", "rooted-ordered",
+            "--family", "chain", "--k", "3", "--max-n", "5",
+        )
+        assert code == 0
+        families = [line.split("\t")[0] for line in out.splitlines()[1:]]
+        assert families == ["chain(k=3)"] * 5 + ["rooted-ordered"] * 5
+
     def test_json_schema_single_family(self, capsys):
         code, out, _ = run(
             capsys, "counts", "--family", "rooted-ordered", "--max-n", "4",

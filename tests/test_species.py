@@ -14,6 +14,8 @@ from helpers import (
     cycle_type,
     from_vector,
     reference_fixed_point_table,
+    reference_no_leaf_table,
+    reference_u,
     series,
 )
 from tanglecount import (
@@ -192,9 +194,15 @@ class TestUDirect:
         expected = math.prod(range(1, 2 * 60 - 4, 2))
         assert u_direct(P((1,) * 60)) == expected
 
-    def test_non_integer_raises(self):
-        with pytest.raises(NonIntegerCount):
-            species._NoLeaf(4, 1, 0, 0).u()
+    def test_no_part_1_matches_dissymmetry_terms_through_40(self):
+        # the recurrence in (u, half) against (S - r + 2 half)/3
+        checked = 0
+        for n in range(2, 41, 2):
+            for mult in binary_partitions(n // 2):
+                lam = from_vector(mult, 2)
+                assert u_direct(lam) == reference_u(lam), lam
+                checked += 1
+        assert checked == 389
 
 
 class TestTanglegramFamily:
@@ -452,6 +460,9 @@ class TestCountTable:
         n = 150 if len(mu) > 3 else 200
         assert species._fixed_point_table(g, valuations, n, leaf, rotated) == (
             reference_fixed_point_table(g, valuations, n, leaf, rotated))
+
+    def test_no_leaf_pass_matches_nine_sum_reference(self):
+        assert species._no_leaf_table(200) == reference_no_leaf_table(200)
 
     def test_single_tree_is_wedderburn_etherington_at_200(self):
         wet = wedderburn_etherington(200)
