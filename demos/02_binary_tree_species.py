@@ -6,7 +6,7 @@ its cycle index solves Z = p_1 + h_2[Z].  The unrooted series follows by
 the dissymmetry decomposition.  The coefficient of p_lam/z_lam in Z_R is
 the number of labeled trees fixed by a permutation of cycle type lam,
 which also has a closed product form that we cross-check here.  The
-unrooted counts u_lam follow from r_lam by three rules, checked against
+unrooted counts u_lam follow from r_lam by two rules, checked against
 Z_U.
 """
 
@@ -49,7 +49,7 @@ for lam in partitions_of(6):
     print(f"  {str(lam):16} {solved:6d} {closed:6d}{marker}")
 
 print()
-print("fixed unrooted trees u_lam, Z_U vs the three rules, n = 6:")
+print("fixed unrooted trees u_lam, Z_U vs the two rules, n = 6:")
 for lam in partitions_of(6):
     series = int(zu.coefficient(lam) * z(lam))
     rules = u_direct(lam)

@@ -26,16 +26,15 @@ one pass per group of the mu that need the same pass.
 
 u_lam vanishes unless lam is binary or 3 times a binary partition (and
 lam^2 lies in that support only when lam does), and on that support it
-follows from r by three rules (u_direct): root the tree at a fixed leaf,
-or at a vertex whose three branches the permutation rotates, or, for a
-binary lam with no part 1, read u_lam off the dissymmetry decomposition
-of the unrooted species.  Each rule gives binary-partition passes, so no
-term is summed one lam at a time: the lam with a part 1 are the rooted
-passes, rooted at that leaf; the lam = 3 nu are the rooted passes over
-nu, with a power of 3 per part; and the binary lam with no part 1 are
-one pass that carries sums of products of u and half = 2^l(lam) r_{lam/2},
-which the dissymmetry decomposition grows by u' = (2m - 3) u + half and
-half' = 2 (m - 1) half as each part joins a lam of size m.
+follows from r by two rules (u_direct): on a binary lam, a step that the
+dissymmetry decomposition of the unrooted species gives as each part
+joins a lam of size m, u' = (2m - 3) u + half and half' = 2 (m - 1) half
+with half = 2^l(lam) r_{lam/2}; on lam = 3 nu, root the tree at the
+vertex whose three branches the permutation rotates.  Each rule gives
+binary-partition passes, so no term is summed one lam at a time: the
+binary lam are one pass per group of the mu, seeded with every lam = 1^j
+at once, that carries sums of products of u and half, and the lam = 3 nu
+are the rooted passes over nu, with a power of 3 per part.
 
 No count goes through a series, and cycle_index loads only when a series
 is asked for.  The series route stays as the independent cross-check: the
@@ -278,11 +277,9 @@ def u_direct(lam: Partition) -> int:
     cycle type lam, with no series: zero unless lam is binary or 3 times a
     binary partition, and on that support
 
-      lam binary with a part 1   r of lam less one part 1 (root the tree at
-                                 that fixed leaf)
-      lam = 3 mu, mu binary      3^(l(mu)-1) r_mu (root it at the vertex
+      lam binary                 the fold over its parts below
+      lam = 3 mu, mu binary      3^(l(mu)-1) r_mu (root the tree at the vertex
                                  whose three branches the permutation rotates)
-      lam binary, no part 1      the dissymmetry count below
 
     On a binary lam with no part 1, let S be the sum over the ordered splits
     (A, R) of the cycles of lam of r_A * 2^l(R) * r_{R/2}, where r of the
@@ -308,13 +305,16 @@ def u_direct(lam: Partition) -> int:
       u'   = (2m - 3) u + half,   half' = 2 (m - 1) half
 
     from a single part's u = 1 and half = 2 (S = 0, r = 1).
+
+    A smallest part 1, a fixed leaf, starts at u = 0 and half = 1 instead,
+    so that the first step gives u = 1 and half = 0, and from then on
+    u' = (2m - 3) u is r's product formula on lam less that leaf.
     """
     if is_binary_partition(lam):
-        if not lam.parts or lam.parts[-1] == 1:
-            return r_closed_form(Partition(lam.parts[:-1]))
-        # from the smallest part up
-        u, half, size = 1, 2, lam.parts[-1]
-        for part in reversed(lam.parts[:-1]):
+        # from the smallest part up; the empty lam, like one leaf, has u = 0
+        *rest, size = lam.parts or (1,)
+        u, half = (0, 1) if size == 1 else (1, 2)
+        for part in reversed(rest):
             u, half = (2 * size - 3) * u + half, 2 * (size - 1) * half
             size += part
         return u
@@ -335,7 +335,7 @@ def u_direct(lam: Partition) -> int:
 # Largest inputs the command line accepts on each path, so that no accepted
 # command runs for much more than a minute.  On a 2-core Xeon vCPU with
 # CPython 3.11 the four rooted tables (k = 3) take 3.8 s to n = 600, both
-# unrooted tables 1.9 s, and the series solve for zindex and gf grows about
+# unrooted tables 2.2 s, and the series solve for zindex and gf grows about
 # threefold every 5 degrees.
 TABLE_LIMIT = 600  # count_table for any family
 SERIES_LIMIT = 40  # anything that solves Z = p_1 + h_2[Z]
@@ -347,8 +347,9 @@ SERIES_LIMIT = 40  # anything that solves Z = p_1 + h_2[Z]
 # carried product, about (1 + p) n log n bits for a mu of p parts, the
 # PASS_SECONDS * (1 + p) term, and multiplies it by a block of about p log n
 # bits, the PART_SECONDS * p^1.75 term; max_n^3.2 stands in for max_n^3 log
-# max_n.  The 13 whole tables the constants were fitted to, timed on the same
-# host, are the rows of test_pass_model_within_15_percent.
+# max_n.  _pass_costs charges the unrooted passes too.  The 13 rooted tables
+# the constants were fitted to and 2 unrooted ones, timed on the same host,
+# are the rows of test_pass_model_within_15_percent.
 STEP_SECONDS = 5e-7
 PASS_SECONDS = 2.7e-10
 PART_SECONDS = 2.5e-11
@@ -402,31 +403,49 @@ def _print_seconds(family: TanglegramFamily, max_n: int) -> float:
     return PRINT_SECONDS * digits2
 
 
-def table_guard(family: TanglegramFamily, max_n: int) -> str | None:
-    """Why the command line refuses count_table(family, max_n), or None.
-
-    max_n is held to TABLE_LIMIT.  The pass guard then sums the estimated
-    time of printing the counts and of the passes, one per _pass_key of G's
-    cycle types, and the passes' parts.  The types are listed one at a time
-    and the sums checked after each new pass, so that a large k is refused
-    after a few types, without k! or the p(k) types of S_k.
-    """
-    if max_n > TABLE_LIMIT:
-        return f"n is over the table guard {TABLE_LIMIT}"
+def _pass_costs(family: TanglegramFamily, max_n: int) -> Iterator[tuple[int, float]]:
+    """One (parts, seconds) per _pass_key of G's cycle types, in their
+    order: the parts of its mu and the modelled time of the passes that
+    count_table builds for it to max_n.  An unrooted key builds an
+    _unrooted_table pass, charged as a pass of the parts + 1 values it
+    carries, and a rotated pass to max_n // 3.  A mu of more parts than
+    PASS_PARTS_LIMIT ends the list before its key is taken."""
     keys: set[PassKey] = set()
-    parts, seconds = 0, _print_seconds(family, max_n)
     for mu in family.group_types():
-        if parts + len(mu) > PASS_PARTS_LIMIT:
-            return (
-                f"its passes would have more than {PASS_PARTS_LIMIT} parts, "
-                "over the pass guard"
-            )
+        parts = len(mu)
+        if parts > PASS_PARTS_LIMIT:
+            yield parts, 0.0
+            return
         key = _pass_key(mu)
         if key in keys:
             continue
         keys.add(key)
-        parts += len(mu)
-        seconds += _pass_seconds(len(mu), max_n)
+        if family.unrooted:
+            yield parts, _pass_seconds(parts + 1, max_n) + _pass_seconds(parts, max_n // 3)
+        else:
+            yield parts, _pass_seconds(parts, max_n)
+
+
+def table_guard(family: TanglegramFamily, max_n: int) -> str | None:
+    """Why the command line refuses count_table(family, max_n), or None.
+
+    max_n is held to TABLE_LIMIT.  The pass guard then sums the estimated
+    time of printing the counts and of the passes (_pass_costs), and the
+    passes' parts.  The types of G are listed one at a time and the sums
+    checked after each new pass key, so that a large k is refused after a
+    few types, without k! or the p(k) types of S_k.
+    """
+    if max_n > TABLE_LIMIT:
+        return f"n is over the table guard {TABLE_LIMIT}"
+    parts, seconds = 0, _print_seconds(family, max_n)
+    for pass_parts, pass_seconds in _pass_costs(family, max_n):
+        parts += pass_parts
+        if parts > PASS_PARTS_LIMIT:
+            return (
+                f"its passes would have more than {PASS_PARTS_LIMIT} parts, "
+                "over the pass guard"
+            )
+        seconds += pass_seconds
         if seconds > PASS_SECONDS_LIMIT:
             return (
                 f"its passes and printing would take over {PASS_SECONDS_LIMIT:g} s, "
@@ -436,16 +455,11 @@ def table_guard(family: TanglegramFamily, max_n: int) -> str | None:
 
 
 def _fixed_point_table(
-    g: int, valuations: tuple[int, ...], max_n: int, leaf: bool = False, rotated: bool = False
+    g: int, valuations: tuple[int, ...], max_n: int, rotated: bool = False
 ) -> list[int]:
     """Index n holds n! times the sum over lam |- n of
     prod over parts j of mu of (2n-1) * r_{lam^j}, divided by z_lam, for any
     mu with _pass_key(mu) = (g, valuations).
-
-    With leaf, the sum runs over the lam with a part 1 only, and each
-    r_{lam^j} becomes r of lam^j less one part 1, the tree rooted at that
-    fixed leaf; the factors below drop by 2, so the largest piece's is
-    2n - 3, and the leaf's own is -1, one sign per part of mu (n >= 2).
 
     With rotated, each part of nu also carries 3^(p - 1), where p, the sum
     over the parts j of mu of 2^min(a, b) below, counts the parts it leaves
@@ -468,7 +482,6 @@ def _fixed_point_table(
     factor is the extra 2n - 1 per part of mu.
     """
     odd_lengths = [e for e in range(1, g + 1, 2) if g % e == 0]
-    shift = 2 if leaf else 0
     table = [1] + [0] * max_n
     s, a = 1, 0
     while s <= max_n:
@@ -483,7 +496,7 @@ def _fixed_point_table(
                 size = s >> c
                 split = 1
                 for i in range(1, (1 << c) + 1):
-                    split *= 2 * (t + i * size) - 1 - shift
+                    split *= 2 * (t + i * size) - 1
                 factor *= split**times
             pieces.append(factor)
         # the cycles of lam of length e*s, one odd e | g after another: the
@@ -506,96 +519,88 @@ def _fixed_point_table(
                     # quotient is exact
                     x = x * blocks[lo] * math.perm(top, step) // (step * j)
                     table[top] += x
-        if leaf and s == 1:
-            table[0] = 0  # no part 1
         s, a = 2 * s, a + 1
     return table
 
 
-# Read through the pass store (_PassStore) like every _fixed_point_table
-# pass, so that both unrooted families and every smaller max_n share a build.
-def _no_leaf_table(max_n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Two sums over the binary lam |- n with no part 1, for each n <= max_n:
-    n!/z_lam times u_lam^2 (the term of mu = 1^2), and n!/z_lam times
-    u_{lam^2} (the term of mu = (2)).
+def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
+    """Index n >= 2 holds n! times the sum over the binary lam |- n of
+    prod over parts j of mu of (2n - 3) u_{lam^j}, divided by z_lam, for
+    mu = 1^2 (valuations (0, 0)) or (2) (valuations (1,)).
 
-    One pass over part sizes s = 2, 4, 8, ..., built like
-    _fixed_point_table, carries at each running size the sums, weighted by
-    n!/z_lam, of the three products of two of lam's (U, half), with U = 3u,
-    and of lam^2's (U, half), grown by two parts s/2 for each part s.  Each
-    part grows them by u_direct's step U' = (2m - 3) U + 3 half,
-    half' = 2 (m - 1) half at m = |lam|, which is linear at a fixed m.  A
-    lam^2 with parts 1 (lam has a part 2) needs no other rule: grown from a
-    single part 1, half vanishes from its second part on and u stays r of
-    lam^2 less one part 1, whose product formula gains 2m - 3 too.
-
-    The empty lam enters with U = -2 and half = -1 (their products 4, 2,
-    1), the entries that the step at m = 0 takes to those of a single part,
-    U = 3 and half = 2.
+    The pass runs like _fixed_point_table over part sizes s = 2, 4, 8, ...
+    and carries, weighted by n!/z_lam, the three products UU, Uh, hh of
+    lam's (U, half), U = 3u, for 1^2, and lam^2's U and half, two parts s/2
+    for each part s, for (2).  Each part grows (U, half) by u_direct's step
+    U' = (2m - 3) U + 3 half, half' = 2 (m - 1) half at m = |lam|, linear at
+    a fixed m.  It starts from every lam = 1^j at once, its own square,
+    with n!/z_lam = 1: (U, half) = (-2, -1) at j = 0, which the step at
+    m = 0 takes to a single part's (3, 2), u_direct's (0, 1) at j = 1, and
+    (3 r_{1^(j-1)}, 0) = (3 (2j - 5)!!, 0) from j = 2 on.
     """
-    # index n: UU, Uh, hh of lam, then U, half of lam^2
-    table = [(4, 2, 1, -2, -1)] + [(0,) * 5] * max_n
+    square = len(valuations) == 2
+    # U and half of lam = 1^j, j = 0, 1, 2, ...
+    Us, halves = [-2, 0, 3], [-1, 1] + [0] * max_n
+    for j in range(3, max_n + 1):
+        Us.append(Us[-1] * (2 * j - 5))
+    if square:  # their products
+        UUs, Uhs, hhs = [U * U for U in Us], [2] + [0] * max_n, [1, 1] + [0] * max_n
     s = 2
     while s <= max_n:
         # from the top down, as in _fixed_point_table
         for base in range(max_n - s, -1, -1):
-            carry = table[base]
-            if not any(carry):
-                continue
+            if square:
+                UU, Uh, hh = UUs[base], Uhs[base], hhs[base]
+            else:
+                U, half = Us[base], halves[base]
             for m in range(1, (max_n - base) // s + 1):
                 size = base + (m - 1) * s
-                a, c = 2 * size - 3, 2 * (size - 1)
-                UU, Uh, hh, U, half = carry
-                # lam gains a part s at size; lam^2 gains a part s/2 there and
-                # another at size + s/2, where the step's factors are a + s, c + s
-                grown = (
-                    a * a * UU + 6 * a * Uh + 9 * hh,
-                    c * (a * Uh + 3 * hh),
-                    c * c * hh,
-                    (a + s) * (a * U + 3 * half) + 3 * c * half,
-                    (c + s) * c * half,
-                )
-                top = size + s
-                # carry becomes C(top, base) * (the permutations of top - base
-                # points in m cycles of length s) times the integer entries
-                # grown from table[base] (the step is linear at size > 0, and
-                # at size 0 carry is table[0]), so the quotient is exact
-                scale = math.perm(top, s)
-                carry = tuple(x * scale // (s * m) for x in grown)
-                table[top] = tuple(x + y for x, y in zip(table[top], carry))
+                a, c, top = 2 * size - 3, 2 * (size - 1), size + s
+                # exact as in _fixed_point_table, on integers grown from those
+                # at base by a step that is linear at size > 0
+                scale, cycles = math.perm(top, s), s * m
+                if square:  # lam gains a part s at size
+                    UU = (a * a * UU + 6 * a * Uh + 9 * hh) * scale // cycles
+                    Uh = c * (a * Uh + 3 * hh) * scale // cycles
+                    hh = c * c * hh * scale // cycles
+                    UUs[top] += UU
+                    Uhs[top] += Uh
+                    hhs[top] += hh
+                else:  # lam^2 gains a part s/2 at size and at size + s/2
+                    U = ((a + s) * (a * U + 3 * half) + 3 * c * half) * scale // cycles
+                    half = (c + s) * c * half * scale // cycles
+                    Us[top] += U
+                    halves[top] += half
         s *= 2
-    squares, powers = [0] * (max_n + 1), [0] * (max_n + 1)
+    sums, parts = UUs if square else Us, len(valuations)
+    table = [0] * (max_n + 1)
     for n in range(2, max_n + 1):
-        UU, _, _, U, _ = table[n]
-        squares[n] = _divide(UU, 9, f"sum of u_lam^2 at {n}")
-        powers[n] = _divide(U, 3, f"sum of u_(lam^2) at {n}")
-    return tuple(squares), tuple(powers)
+        table[n] = _divide(sums[n], 3**parts, f"sum of u at {n}") * (2 * n - 3) ** parts
+    return table
 
 
 # Bytes the pass store may hold, each table charged by _table_bytes: enough
 # that a counts run of the six families (k = 3) to n = 600 builds each of
-# its 10 passes once (a 2 MiB store rebuilt the no-leaf pass there, 0.8 s).
+# its 9 passes once (a 2 MiB store rebuilt the 1^3 pass there, 1.0 s).
 PASS_STORE_BYTES = 4 << 20
 
 
 def _table_bytes(table: tuple) -> int:
     """The bytes charged for a stored table: its tuple, and each entry as
-    many as its largest, by sys.getsizeof; the no-leaf pass, a pair of
-    tables, is charged for both.
+    many as its largest, by sys.getsizeof.
 
     Entries grow with n, so this is about twice the objects' own bytes.
     The margin is the allocator's: in one process, entries that outlive
     the ints freed around them while each pass was built leave memory
     partly used, and the peak RSS that a full store added measured 1.4 to
     1.7 times its objects' bytes."""
-    if isinstance(table[0], tuple):
-        return sys.getsizeof(table) + sum(map(_table_bytes, table))
     return sys.getsizeof(table) + len(table) * max(map(sys.getsizeof, table))
 
 
 class _PassStore:
-    """Every pass that count_table reads, by its key: (g, valuations, leaf,
-    rotated) for a _fixed_point_table pass, "no-leaf" for _no_leaf_table.
+    """Every pass that count_table reads, by its key: (g, valuations,
+    rotated) for a _fixed_point_table pass, ("unrooted", valuations) for an
+    _unrooted_table pass.
     A pass depends on its key only, never on the family, and entry n is
     summed from smaller bases only, so a table built to the largest max_n
     asked for so far answers any smaller max_n by indexing; a larger max_n
@@ -637,45 +642,39 @@ def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
     n! |G| times the count is the sum over the cycle types mu of G, each
     weighted by its number of elements, of the sum over lam |- n of
     n!/z_lam times the product over the parts j of mu of a_{lam^j}, where
-    a is r or u.  One _fixed_point_table pass per _pass_key of the mu gives
-    the rooted sums.  An unrooted family, a pair of trees, sums u over its
-    support in three pieces for each pass key: a pass rooted at a fixed
-    leaf for the lam with a part 1 (u_lam is r of lam less that part, and
-    so is each u_{lam^j}), _no_leaf_table for the other binary lam, read by
-    mu, and a rotated pass to max_n/3 for the lam = 3 nu.  Every pass is
-    read through the pass store (_PassStore), so a pass that an earlier
-    call built, for any family and to at least max_n, is not built again.
+    a is r or u.  Each _pass_key of the mu reads one pass over the binary
+    lam: _fixed_point_table for rooted trees, and for unrooted ones, a pair
+    of trees, _unrooted_table plus a rotated _fixed_point_table pass to
+    max_n/3 for the lam = 3 nu.  Every pass is read through the pass store
+    (_PassStore), so a pass that an earlier call built, for any family and
+    to at least max_n, is not built again.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    leaf = family.unrooted
+    unrooted = family.unrooted
     k = family.trees
     passes: Counter[PassKey] = Counter()
     for mu in family.group_types():
         passes[_pass_key(mu)] += family.group_elements(mu)
-    # each table carries 2n - 1 per part of mu, 2n - 3 rooted at a leaf
-    tops = [2 * n - 1 - 2 * leaf for n in range(max_n + 1)]
+    # each pass carries 2n - 1 per part of mu, 2n - 3 for unrooted trees
+    tops = [2 * n - 1 - 2 * unrooted for n in range(max_n + 1)]
     totals = [0] * (max_n + 1)
-    if leaf:
-        # the binary lam with no part 1, by the valuations of mu = 1^2, (2)
-        no_leaf = dict(zip([(0, 0), (1,)], _passes.get("no-leaf", max_n, _no_leaf_table)))
     for (g, valuations), weight in passes.items():
         parts = len(valuations)
-        build = partial(_fixed_point_table, g, valuations, leaf=leaf)
-        sums = _passes.get((g, valuations, leaf, False), max_n, build)
-        sign = -1 if leaf and parts % 2 else 1  # the leaf's own factor -1 per part of mu
+        if unrooted:
+            key, build = ("unrooted", valuations), partial(_unrooted_table, valuations)
+        else:
+            key, build = (g, valuations, False), partial(_fixed_point_table, g, valuations)
+        sums = _passes.get(key, max_n, build)
         for n in range(family.min_n, max_n + 1):
-            totals[n] += sign * weight * sums[n] * tops[n] ** (k - parts)
-        if not leaf:
+            totals[n] += weight * sums[n] * tops[n] ** (k - parts)
+        if not unrooted:
             continue
-        rest = no_leaf[valuations]
-        for n in range(family.min_n, max_n + 1):
-            totals[n] += weight * rest[n] * tops[n] ** k
         # with z_{3nu} = 3^l(nu) z_nu and u_{3nu^j} = 3^(l(nu^j)-1) r_{nu^j},
         # the rotated pass at m is m!/n! times the sum at n = 3m times
         # (3 (2m - 1))^l(mu), and 3 (2m - 1) = tops[n]
         build = partial(_fixed_point_table, g, valuations, rotated=True)
-        rotated = _passes.get((g, valuations, False, True), max_n // 3, build)
+        rotated = _passes.get((g, valuations, True), max_n // 3, build)
         for m in range(1, max_n // 3 + 1):
             n = 3 * m
             totals[n] += weight * math.perm(n, 2 * m) * rotated[m] * tops[n] ** (k - parts)

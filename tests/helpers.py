@@ -1,7 +1,8 @@
 """Shared builders for the tests: series, random partitions, permutations,
 the binary partitions that the reference sums run over, a reference
-binary-partition pass that sums four-factor products, and a reference
-no-leaf pass that carries the dissymmetry terms (S, r, half)."""
+binary-partition pass that sums four-factor products, a reference
+no-leaf pass that carries the dissymmetry terms (S, r, half), and the
+unrooted route that the two make together."""
 
 import math
 from collections import Counter
@@ -216,3 +217,18 @@ def reference_no_leaf_table(max_n):
         powers[n], rest = divmod(splits - r + 2 * half, 3)
         assert not rest, n
     return tuple(squares), tuple(powers)
+
+
+def reference_unrooted_table(valuations, max_n):
+    """species._unrooted_table by two passes: the four-factor pass rooted
+    at a fixed leaf for the binary lam with a part 1 (u_lam is r of lam
+    less that part, and so is each u_{lam^j}), whose factors carry 2n - 3
+    per part of mu and the leaf's own -1, and the nine-sum no-leaf pass for
+    the other binary lam, times 2n - 3 per part of mu = 1^2 or (2)."""
+    parts = len(valuations)
+    leaf = reference_fixed_point_table(1, valuations, max_n, leaf=True)
+    no_leaf = dict(zip([(0, 0), (1,)], reference_no_leaf_table(max_n)))[valuations]
+    table = [0] * (max_n + 1)
+    for n in range(2, max_n + 1):
+        table[n] = (-1) ** parts * leaf[n] + no_leaf[n] * (2 * n - 3) ** parts
+    return table

@@ -14,8 +14,8 @@ from helpers import (
     cycle_type,
     from_vector,
     reference_fixed_point_table,
-    reference_no_leaf_table,
     reference_u,
+    reference_unrooted_table,
     series,
 )
 from tanglecount import (
@@ -193,6 +193,17 @@ class TestUDirect:
         # (2n-5)!! labeled unrooted binary trees on n leaves
         expected = math.prod(range(1, 2 * 60 - 4, 2))
         assert u_direct(P((1,) * 60)) == expected
+
+    def test_part_1_is_r_of_lam_less_that_leaf_through_40(self):
+        # the fold's seed (u, half) = (0, 1) for a smallest part 1
+        checked = 0
+        for n in range(1, 41):
+            for mult in binary_partitions(n):
+                if mult[0]:
+                    lam = from_vector(mult)
+                    assert u_direct(lam) == r_closed_form(P(lam.parts[:-1])), lam
+                    checked += 1
+        assert checked == 3734
 
     def test_no_part_1_matches_dissymmetry_terms_through_40(self):
         # the recurrence in (u, half) against (S - r + 2 half)/3
@@ -438,9 +449,10 @@ class TestCountTable:
                         fam.label, n)
 
     # the mu of chain-unordered(15) include (15), (5,5,5) and (3,3,3,3,3);
-    # the unrooted families read 1^2 and (2) with leaf and rotated
+    # the unrooted families read 1^2 and (2) unrooted and rotated, and the
+    # unrooted pass is checked against the leaf and no-leaf passes it replaced
     @pytest.mark.parametrize(
-        "mu, leaf, rotated",
+        "mu, unrooted, rotated",
         [
             ((1, 1), False, False),
             ((8, 4, 2), False, False),
@@ -455,14 +467,15 @@ class TestCountTable:
         ],
         ids=lambda value: ",".join(map(str, value)) if isinstance(value, tuple) else None,
     )
-    def test_pass_matches_four_factor_reference(self, mu, leaf, rotated):
+    def test_pass_matches_four_factor_reference(self, mu, unrooted, rotated):
         g, valuations = species._pass_key(Partition(mu))
         n = 150 if len(mu) > 3 else 200
-        assert species._fixed_point_table(g, valuations, n, leaf, rotated) == (
-            reference_fixed_point_table(g, valuations, n, leaf, rotated))
-
-    def test_no_leaf_pass_matches_nine_sum_reference(self):
-        assert species._no_leaf_table(200) == reference_no_leaf_table(200)
+        if unrooted:
+            assert species._unrooted_table(valuations, n) == (
+                reference_unrooted_table(valuations, n))
+        else:
+            assert species._fixed_point_table(g, valuations, n, rotated) == (
+                reference_fixed_point_table(g, valuations, n, rotated=rotated))
 
     def test_single_tree_is_wedderburn_etherington_at_200(self):
         wet = wedderburn_etherington(200)
@@ -511,20 +524,21 @@ class TestCountTable:
         for fam, k in ((ROOTED_ORDERED, 2), (chain(3), 3)):
             assert count_table(fam, 100)[100] == binary_partition_sum(100, k), fam.label
 
-    def test_unrooted_families_share_the_no_leaf_pass(self, monkeypatch):
+    def test_unrooted_families_share_the_unrooted_pass(self, monkeypatch):
         builds = []
-        build = species._no_leaf_table
+        build = species._unrooted_table
 
-        def counted(max_n):
-            builds.append(max_n)
-            return build(max_n)
+        def counted(valuations, max_n):
+            builds.append((valuations, max_n))
+            return build(valuations, max_n)
 
-        monkeypatch.setattr(species, "_no_leaf_table", counted)
+        monkeypatch.setattr(species, "_unrooted_table", counted)
         monkeypatch.setattr(species, "_passes", species._PassStore())
         ordered = count_table(UNROOTED_ORDERED, 30)
+        assert builds == [((0, 0), 30)]  # mu = 1^2 only, never (2)
         unordered = count_table(UNROOTED_UNORDERED, 30)
         assert count_table(UNROOTED_ORDERED, 20) == ordered[:21]
-        assert builds == [30]
+        assert builds == [((0, 0), 30), ((1,), 30)]
         for n in range(2, 31):
             assert ordered[n] == unrooted_support_sum(n, False), n
             assert unordered[n] == unrooted_support_sum(n, True), n
@@ -571,11 +585,12 @@ class TestCountTable:
             (chain_unordered(20), 150, 8.92),
             (chain_unordered(30), 60, 3.70),
             (chain_unordered(30), 100, 15.36),
+            (UNROOTED_ORDERED, 600, 1.23),
+            (UNROOTED_UNORDERED, 600, 1.98),
         ],
     )
     def test_pass_model_within_15_percent(self, family, max_n, measured):
-        parts = {species._pass_key(mu): len(mu) for mu in family.group_types()}
-        model = sum(species._pass_seconds(p, max_n) for p in parts.values())
+        model = sum(seconds for _, seconds in species._pass_costs(family, max_n))
         assert abs(model / measured - 1) <= 0.15
 
     # printing the whole table in decimal, timed on the same host
@@ -636,10 +651,12 @@ class TestPassStore:
         for fam in STORE_FAMILIES:
             count_table(fam, 20)
         stored = species._passes.tables
-        assert "no-leaf" in stored and len(stored) > 10
-        for max_n, table, size in stored.values():
+        unrooted = {("unrooted", (0, 0)), ("unrooted", (1,))}
+        assert unrooted <= set(stored) and len(stored) > 10
+        for key, (max_n, table, size) in stored.items():
+            assert key in unrooted or isinstance(key[2], bool)
             assert isinstance(table, tuple) and size == species._table_bytes(table)
-        assert all(isinstance(sums, tuple) for sums in stored["no-leaf"][1])
+            assert all(type(entry) is int for entry in table)
 
     def test_held_bytes_within_budget(self):
         count_table(chain_unordered(20), 100)
