@@ -540,11 +540,11 @@ def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
     """
     square = len(valuations) == 2
     # U and half of lam = 1^j, j = 0, 1, 2, ...
-    Us, halves = [-2, 0, 3], [-1, 1] + [0] * max_n
+    Us, halves = [-2, 0, 3], [-1, 1] + [0] * (max_n - 1)
     for j in range(3, max_n + 1):
         Us.append(Us[-1] * (2 * j - 5))
     if square:  # their products
-        UUs, Uhs, hhs = [U * U for U in Us], [2] + [0] * max_n, [1, 1] + [0] * max_n
+        UUs, Uhs, hhs = [U * U for U in Us], [2] + [0] * max_n, [1, 1] + [0] * (max_n - 1)
     s = 2
     while s <= max_n:
         # from the top down, as in _fixed_point_table
