@@ -1,15 +1,25 @@
 """Command-line front end: count tables, cycle-index expansions, unlabeled
 generating functions, and the oracle-vs-series verification report.
 
-Exit codes: 0 success, 1 verification failure or internal error, 2 usage
-error or guard (an input the command line refuses as too large to finish).
+One table, `_COMMANDS`, lists the subcommands and their arguments; `parse`
+reads argv from it as argparse would (`--opt value`, `--opt=value`, unique
+prefixes, a repeated `--family`) and `--help` prints it.  The module does
+not import argparse, which with gettext and locale cost about 5 ms of every
+run's start-up.  `main` calls the `cmd_<command>` function of this module
+that is bound when it runs.
+
+Exit codes: 0 success or help, 1 verification failure, internal error or a
+stdout the reader closed, 2 usage error (a bad command line or an --output
+that cannot be opened) or guard (an input the command line refuses as too
+large to finish).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
+import os
 import sys
+from types import SimpleNamespace
 
 from . import species
 from .partitions import Partition, partitions_of
@@ -86,7 +96,11 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w") as handle:
+        try:
+            handle = open(output, "w")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {output}: {exc.strerror}") from exc
+        with handle:
             handle.write(text)
 
 
@@ -98,7 +112,7 @@ def _check_guard(option: str, value: int, limit: int, path: str) -> None:
         raise _UsageError(f"{option} {value} exceeds the {path} guard {limit}")
 
 
-def cmd_counts(args: argparse.Namespace) -> int:
+def cmd_counts(args: SimpleNamespace) -> int:
     families = _resolve_families(args.family, args.k)
     max_n = args.max_n
     for fam in families:
@@ -115,7 +129,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_zindex(args: argparse.Namespace) -> int:
+def cmd_zindex(args: SimpleNamespace) -> int:
     least = 1 if args.which == "R" else 2
     if args.max_degree < least:
         raise _UsageError(f"zindex {args.which} requires --max-degree >= {least}")
@@ -128,7 +142,7 @@ def cmd_zindex(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gf(args: argparse.Namespace) -> int:
+def cmd_gf(args: SimpleNamespace) -> int:
     start = 1 if args.which == "R" else 2
     if args.max_n < start:
         raise _UsageError(f"gf {args.which} requires --max-n >= {start}")
@@ -149,7 +163,7 @@ def cmd_gf(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     # here, not at module level, so that no other command loads the oracle
     from . import oracle
 
@@ -247,55 +261,231 @@ class _UsageError(Exception):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tanglecount",
-        description="Count unlabeled tanglegrams, tangled chains, and binary "
-        "tree shapes exactly, by integer passes over binary partitions; the "
-        "cycle-index series are kept as the cross-check (zindex, gf, verify).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_PROG = "tanglecount"
+_DESCRIPTION = """\
+Count unlabeled tanglegrams, tangled chains, and binary tree shapes exactly,
+by integer passes over binary partitions; the cycle-index series are kept as
+the cross-check (zindex, gf, verify)."""
 
-    p_counts = sub.add_parser("counts", help="tables of counts per family")
-    p_counts.add_argument(
-        "--family",
-        action="append",
-        required=True,
-        choices=species.FAMILY_KINDS,
-        help="family to count (repeatable)",
-    )
-    p_counts.add_argument(
-        "--k", type=int, default=2, help="number of trees in a chain (default 2)"
-    )
-    p_counts.add_argument("--max-n", type=int, required=True, help="largest leaf count")
-    p_counts.add_argument(
-        "--format", default="table", choices=sorted(_RENDERERS), help="output format"
-    )
-    p_counts.add_argument("--output", default=None, help="write to file instead of stdout")
-    p_counts.set_defaults(func=cmd_counts)
+_REQUIRED = "(required)"
+_REPEATED = "(required, repeatable)"
+_FORMATS = tuple(sorted(_RENDERERS))
+_WHICH = (("R", "U"), _REQUIRED, "R for rooted trees, U for unrooted")
+_OUTPUT = (str, None, "write to file instead of stdout")
 
-    p_zindex = sub.add_parser("zindex", help="print a cycle-index expansion")
-    p_zindex.add_argument(
-        "which", choices=("R", "U"), help="R for rooted trees, U for unrooted"
+# Every subcommand: its help line and its arguments, each as (name, values,
+# default, help).  A name without "--" is a positional.  values is int, str
+# or a tuple of the choices.  default is the value an absent option takes,
+# _REQUIRED, or _REPEATED for a required option that may repeat and collects
+# its values in command-line order.  parse() and --help both read this table.
+_COMMANDS = {
+    "counts": ("tables of counts per family", (
+        ("--family", species.FAMILY_KINDS, _REPEATED, "family to count"),
+        ("--k", int, 2, "number of trees in a chain (default 2)"),
+        ("--max-n", int, _REQUIRED, "largest leaf count"),
+        ("--format", _FORMATS, "table", "output format (default table)"),
+        ("--output", *_OUTPUT),
+    )),
+    "zindex": ("print a cycle-index expansion", (
+        ("which", *_WHICH),
+        ("--max-degree", int, _REQUIRED, "largest degree"),
+        ("--output", *_OUTPUT),
+    )),
+    "gf": ("print unlabeled tree generating functions", (
+        ("which", *_WHICH),
+        ("--max-n", int, _REQUIRED, "largest leaf count"),
+        ("--format", _FORMATS, "table", "output format (default table)"),
+        ("--output", *_OUTPUT),
+    )),
+    "verify": ("cross-check the series against the brute-force oracle", (
+        ("--max-n", int, 5, "largest leaf count (default 5)"),
+    )),
+}
+_HELP = ("-h", "--help")
+
+
+def _word(name: str) -> str:
+    # how an argument reads in the usage line: its name and metavar
+    return name if name[0] != "-" else f"{name} {name[2:].replace('-', '_').upper()}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: {_PROG} [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = [f"usage: {_PROG} {command} [-h]"]
+    for name, _, default, _ in _COMMANDS[command][1]:
+        word = _word(name)
+        words.append(word if default in (_REQUIRED, _REPEATED) else f"[{word}]")
+    return " ".join(words)
+
+
+def _help(command: str | None) -> str:
+    rows = [("-h, --help", "show this help and exit")]
+    if command is None:
+        about = _DESCRIPTION
+        rows += [(name, line) for name, (line, _) in _COMMANDS.items()]
+        footer = f"\nRun '{_PROG} COMMAND --help' for the options of a command.\n"
+    else:
+        about = _COMMANDS[command][0]
+        for name, values, default, line in _COMMANDS[command][1]:
+            if default in (_REQUIRED, _REPEATED):
+                line += " " + default
+            if isinstance(values, tuple):
+                line += "; one of:\n" + ", ".join(values)
+            rows.append((_word(name), line))
+        footer = ""
+    width = max(len(word) for word, _ in rows) + 4
+    indent = "\n" + " " * (width + 2)
+    table = "".join(
+        "  " + word.ljust(width) + line.replace("\n", indent) + "\n" for word, line in rows
     )
-    p_zindex.add_argument("--max-degree", type=int, required=True)
-    p_zindex.add_argument("--output", default=None)
-    p_zindex.set_defaults(func=cmd_zindex)
+    return f"{_usage(command)}\n\n{about}\n\n{table}{footer}"
 
-    p_gf = sub.add_parser("gf", help="print unlabeled tree generating functions")
-    p_gf.add_argument("which", choices=("R", "U"))
-    p_gf.add_argument("--max-n", type=int, required=True)
-    p_gf.add_argument("--format", default="table", choices=sorted(_RENDERERS))
-    p_gf.add_argument("--output", default=None)
-    p_gf.set_defaults(func=cmd_gf)
 
-    p_verify = sub.add_parser(
-        "verify", help="cross-check the series against the brute-force oracle"
-    )
-    p_verify.add_argument("--max-n", type=int, default=5)
-    p_verify.set_defaults(func=cmd_verify)
+def _print_help(command: str | None, name: str, inline: str | None):
+    # argparse reads "-hh" as -h twice, and any other value given to -h or
+    # --help as an error
+    if inline is not None and (name == "--help" or not inline or inline.strip("h")):
+        _fail(command, f"argument -h/--help: ignored explicit argument {inline!r}")
+    sys.stdout.write(_help(command))
+    sys.stdout.flush()  # here, so that main sees a closed stdout
+    raise SystemExit(0)
 
-    return parser
+
+def _fail(command: str | None, message: str):
+    prog = _PROG if command is None else f"{_PROG} {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_negative_number(token: str) -> bool:
+    # argparse's ^-\d+$|^-\d*\.\d+$: such a token is a value, not an option
+    whole, dot, fraction = token[1:].partition(".")
+    if dot:
+        return (not whole or whole.isdecimal()) and fraction.isdecimal()
+    return whole.isdecimal()
+
+
+def _option(
+    command: str | None, token: str, names: tuple[str, ...]
+) -> tuple[str, str | None] | None:
+    """Read token as argparse does: None for a value or positional, else
+    (the option it names, or "" for an unknown option; the value given
+    inline after "=", or after "-h", or None).  "--" is a positional here."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    head, eq, inline = token.partition("=")
+    if token in names:
+        return token, None
+    if eq and head in names:
+        return head, inline
+    if token[:2] == "--":
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            _fail(command, f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], inline if eq else None
+    elif token[:2] in names:
+        return token[:2], token[2:]
+    if _is_negative_number(token) or " " in token:
+        return None
+    return "", None
+
+
+def _value(command: str, name: str, values, token: str):
+    if values is int:
+        try:
+            return int(token)
+        except ValueError:
+            _fail(command, f"argument {name}: invalid int value: {token!r}")
+    if values is not str and token not in values:
+        choices = ", ".join(map(repr, values))
+        _fail(command, f"argument {name}: invalid choice: {token!r} (choose from {choices})")
+    return token
+
+
+def _parse_command(command: str, tokens: list[str], extras: list[str]) -> SimpleNamespace:
+    specs = {spec[0]: spec for spec in _COMMANDS[command][1]}
+    positionals = [name for name in specs if name[0] != "-"]
+    names = (*_HELP, *(name for name in specs if name[0] == "-"))
+    # no token after the first "--" is an option; argparse reads every token
+    # before it acts on any, so an ambiguous prefix fails even after a -h
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    read = [_option(command, token, names) for token in tokens[:cut]]
+    read += [None] * (len(tokens) - cut)
+    given: dict[str, object] = {}
+    taken = None  # the index of the token the last positional took
+    i = 0
+    while i < len(tokens):
+        token, option = tokens[i], read[i]
+        i += 1
+        if option is None:
+            if i - 1 == cut:
+                # argparse drops this "--" only beside a positional's token
+                if taken != cut - 1 and not (positionals and i < len(tokens)):
+                    extras.append(token)
+            elif positionals:
+                name = positionals.pop(0)
+                given[name] = _value(command, name, specs[name][1], token)
+                taken = i - 1
+            else:
+                extras.append(token)
+            continue
+        name, inline = option
+        if not name:
+            extras.append(token)
+            continue
+        if name in _HELP:
+            _print_help(command, name, inline)
+        if inline is None:
+            if i >= cut or read[i] is not None:
+                _fail(command, f"argument {name}: expected one argument")
+            inline = tokens[i]
+            i += 1
+        _, values, default, _ = specs[name]
+        value = _value(command, name, values, inline)
+        if default is _REPEATED:
+            given.setdefault(name, []).append(value)
+        else:
+            given[name] = value
+    missing = [
+        name for name, (_, _, default, _) in specs.items()
+        if default in (_REQUIRED, _REPEATED) and name not in given
+    ]
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    return SimpleNamespace(command=command, **{
+        name.lstrip("-").replace("-", "_"): given.get(name, default)
+        for name, (_, _, default, _) in specs.items()
+    })
+
+
+def parse(argv: list[str]) -> SimpleNamespace:
+    """The subcommand and its options from argv, read as argparse read them:
+    --opt value or --opt=value, any unique prefix of an option, options and
+    positionals in any order, and "--" to end the options.  A bad command
+    line prints the usage and an error to stderr and exits 2; -h or --help
+    prints the help and exits 0.  The result has `command` and one attribute
+    per argument, named like it with "-" as "_"."""
+    extras: list[str] = []
+    for i, token in enumerate(argv):
+        option = _option(None, token, _HELP)
+        if option is None:
+            if token not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                _fail(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
+            args = _parse_command(token, argv[i + 1:], extras)
+            break
+        name, inline = option
+        if not name:
+            extras.append(token)
+        else:
+            _print_help(None, name, inline)
+    else:
+        _fail(None, "the following arguments are required: command")
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -303,13 +493,21 @@ def main(argv: list[str] | None = None) -> int:
     # default cap on int-to-str conversion is for parsing untrusted input
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parse(sys.argv[1:] if argv is None else argv)
+        # looked up now, not bound at import, so that a rebound cmd_* is called
+        code = globals()["cmd_" + args.command](args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; as the SIGPIPE note in the docs of
+        # Python's signal module advises, point stdout at devnull so that the
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:
         import traceback  # only on this path: keeps it out of start-up time
 

@@ -1,15 +1,17 @@
 """Shared builders for the tests: series, random partitions, permutations,
 the binary partitions that the reference sums run over, a reference
 binary-partition pass that sums four-factor products, a reference
-no-leaf pass that carries the dissymmetry terms (S, r, half), and the
-unrooted route that the two make together."""
+no-leaf pass that carries the dissymmetry terms (S, r, half), the
+unrooted route that the two make together, and the argparse parser that
+the command line's own parser must read argv like."""
 
+import argparse
 import math
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
-from tanglecount import CycleIndexSeries, Partition
+from tanglecount import CycleIndexSeries, Partition, species
 
 
 def series(degree, *terms):
@@ -232,3 +234,34 @@ def reference_unrooted_table(valuations, max_n):
     for n in range(2, max_n + 1):
         table[n] = (-1) ** parts * leaf[n] + no_leaf[n] * (2 * n - 3) ** parts
     return table
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line had, with the same subcommands,
+    options, choices and defaults, as the reference for `cli.parse`."""
+    formats = ["bfile", "csv", "json", "table"]
+    parser = argparse.ArgumentParser(prog="tanglecount")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_counts = sub.add_parser("counts")
+    p_counts.add_argument("--family", action="append", required=True, choices=species.FAMILY_KINDS)
+    p_counts.add_argument("--k", type=int, default=2)
+    p_counts.add_argument("--max-n", type=int, required=True)
+    p_counts.add_argument("--format", default="table", choices=formats)
+    p_counts.add_argument("--output", default=None)
+
+    p_zindex = sub.add_parser("zindex")
+    p_zindex.add_argument("which", choices=("R", "U"))
+    p_zindex.add_argument("--max-degree", type=int, required=True)
+    p_zindex.add_argument("--output", default=None)
+
+    p_gf = sub.add_parser("gf")
+    p_gf.add_argument("which", choices=("R", "U"))
+    p_gf.add_argument("--max-n", type=int, required=True)
+    p_gf.add_argument("--format", default="table", choices=formats)
+    p_gf.add_argument("--output", default=None)
+
+    p_verify = sub.add_parser("verify")
+    p_verify.add_argument("--max-n", type=int, default=5)
+
+    return parser

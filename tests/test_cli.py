@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import series
+from helpers import reference_parser, series
 from tanglecount import cli, oracle, species
 from tanglecount.cli import main
 from tanglecount.cycle_index import DegreeOutOfRange
@@ -424,6 +424,151 @@ class TestVerify:
             assert "guard" in err
 
 
+# argv that argparse read, and how: values, exit 2 or exit 0 (help)
+PARSER_CASES = [
+    # each subcommand with its defaults
+    ["counts", "--family", "chain", "--max-n", "3"],
+    ["zindex", "R", "--max-degree", "4"],
+    ["gf", "U", "--max-n", "5"],
+    ["verify"],
+    ["verify", "--max-n", "7"],
+    # the = form, abbreviations, order, and values that start with "-"
+    ["counts", "--family=chain", "--max-n=3", "--k=4"],
+    ["counts", "--fam", "chain", "--max", "3", "--form", "csv", "--out", "x.csv"],
+    ["zindex", "--max-d", "3", "U"],
+    ["gf", "R", "--max-n=4", "--format=bfile", "--output="],
+    ["counts", "--family", "chain", "--max-n", "3", "--k", "-1", "--output", "-"],
+    ["zindex", "--max-degree", "3", "--", "R"],
+    ["zindex", "R", "--max-degree", "3", "--"],
+    ["verify", "--"],
+    ["counts", "--family", "chain", "--max-n", "3", "--max-n", "5"],
+    # repeated --family, in the order given
+    ["counts", "--family", "chain", "--family", "rooted-ordered", "--family", "chain",
+     "--max-n", "3"],
+    ["counts", "--family", "rooted-unordered", "--max-n", "3", "--family", "rooted-ordered"],
+    # a required argument missing
+    [],
+    ["counts", "--max-n", "3"],
+    ["counts", "--family", "chain"],
+    ["zindex", "--max-degree", "3"],
+    ["gf", "--max-n", "3"],
+    # a bad choice or a non-integer
+    ["bogus"],
+    ["counts", "--family", "wibble", "--max-n", "3"],
+    ["counts", "--family", "chain", "--max-n", "3", "--format", "xml"],
+    ["zindex", "X", "--max-degree", "3"],
+    ["counts", "--family", "chain", "--k", "x", "--max-n", "3"],
+    ["verify", "--max-n", "2.5"],
+    # an unknown or ambiguous option, or an extra positional
+    ["verify", "--bogus"],
+    ["--bogus", "counts", "--family", "chain", "--max-n", "3"],
+    ["counts", "--f", "chain", "--max-n", "3"],
+    ["zindex", "R", "U", "--max-degree", "3"],
+    ["verify", "extra"],
+    # an option with no value
+    ["counts", "--family", "chain", "--max-n"],
+    ["counts", "--family", "--max-n", "3"],
+    ["zindex", "R", "--max-degree", "3", "--output", "--", "x"],
+    ["--help=x"],
+    # help, at top level and after each subcommand
+    ["--help"],
+    ["-h"],
+    ["counts", "--help"],
+    ["counts", "--family", "chain", "--he"],
+    ["zindex", "-h"],
+    ["zindex", "-hh"],
+    ["gf", "--help"],
+    ["verify", "--help"],
+]
+
+
+def parsed(parse, argv):
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-arguments"
+    )
+    def test_parse_reads_argv_like_argparse(self, capsys, argv):
+        expected = parsed(reference_parser().parse_args, argv)
+        capsys.readouterr()
+        got = parsed(cli.parse, argv)
+        out, err = capsys.readouterr()
+        assert got == expected
+        if got == 2:
+            usage, error = err.splitlines()
+            assert usage.startswith("usage: tanglecount")
+            assert ": error: " in error
+        elif got == 0:
+            assert out.startswith("usage: tanglecount") and err == ""
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    def test_help_lists_every_argument(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"] if command is None else [command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        if command is None:
+            names = list(cli._COMMANDS)
+        else:
+            names = [spec[0] for spec in cli._COMMANDS[command][1]]
+        assert out.startswith("usage: tanglecount")
+        for name in ["-h, --help", *names]:
+            assert f"\n  {name} " in out, name
+
+    def test_main_calls_the_cmd_attribute_bound_at_call_time(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args) or 0)
+        assert main(["verify", "--max-n", "3"]) == 0
+        assert [vars(args) for args in seen] == [{"command": "verify", "max_n": 3}]
+
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("missing/x.tsv", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_output_that_cannot_be_opened_is_usage_error(self, capsys, tmp_path, where, reason):
+        target = tmp_path / where
+        code, out, err = run(
+            capsys, "counts", "--family", "chain", "--k", "3", "--max-n", "3",
+            "--output", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: {reason}\n"
+
+    # about 114 KB of table, more than a pipe buffers (64 KiB on Linux),
+    # closed after its first bytes; the help, closed before it is written
+    @pytest.mark.parametrize(
+        "argv, read",
+        [(["counts", "--family", "rooted-ordered", "--max-n", "300"], 100), (["--help"], 0)],
+        ids=["table", "help"],
+    )
+    def test_closed_stdout_exits_one_without_traceback(self, argv, read):
+        src = Path(__file__).resolve().parents[1] / "src"
+        # unbuffered, stdout is a raw file whose short write to a closing
+        # pipe the text layer drops without an error, so none could show
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "tanglecount.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        )
+        try:
+            child.stdout.read(read)  # unbuffered: reads no more than this
+            child.stdout.close()
+            code = child.wait(timeout=120)
+        finally:
+            child.kill()
+        assert code == 1
+        assert child.stderr.read() == b""
+        child.stderr.close()
+
+
 # Runs in a fresh interpreter: diffs sys.modules around importing the CLI and
 # around a counts run, then uses the series names that load on first use.
 _START_UP_SCRIPT = """
@@ -466,7 +611,8 @@ class TestStartUp:
         imported, counted, verify, verify_out, zindex, zindex_out = ast.literal_eval(done.stdout)
         assert "tanglecount.cli" in imported
         for unused in ("dataclasses", "inspect", "fractions", "decimal",
-                       "tanglecount.cycle_index", "tanglecount.oracle"):
+                       "tanglecount.cycle_index", "tanglecount.oracle",
+                       "argparse", "gettext", "locale"):
             assert unused not in imported, unused
             assert unused not in counted, unused
         # the series route and the oracle still work once asked for
