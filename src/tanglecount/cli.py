@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
+from collections.abc import Callable
 from types import SimpleNamespace
 
 from . import species
@@ -30,7 +31,6 @@ from .species import (
     UNROOTED_UNORDERED,
     TanglegramFamily,
     binary_tree_cycle_index,
-    unrooted_tree_cycle_index,
 )
 
 
@@ -92,24 +92,21 @@ _RENDERERS = {
 }
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(output: str | None, render: Callable[[], str]) -> None:
+    """Write render() to stdout, or to the file output.  The file is opened
+    first, so that a path that cannot be written fails before any counting."""
     if output is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            handle = open(output, "w")
-        except OSError as exc:
-            raise _UsageError(f"cannot write {output}: {exc.strerror}") from exc
-        with handle:
-            handle.write(text)
+        sys.stdout.write(render())
+        return
+    try:
+        handle = open(output, "w")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {output}: {exc.strerror}") from exc
+    with handle:
+        handle.write(render())
 
 
 # -- subcommands ----------------------------------------------------------
-
-
-def _check_guard(option: str, value: int, limit: int, path: str) -> None:
-    if value > limit:
-        raise _UsageError(f"{option} {value} exceeds the {path} guard {limit}")
 
 
 def cmd_counts(args: SimpleNamespace) -> int:
@@ -121,45 +118,48 @@ def cmd_counts(args: SimpleNamespace) -> int:
         reason = species.table_guard(fam, max_n)
         if reason is not None:
             raise _UsageError(f"{fam.label} to --max-n {max_n}: {reason}")
-    rows: Rows = []
-    for fam in families:
-        table = species.count_table(fam, max_n)
-        rows.extend((fam.label, n, table[n]) for n in range(fam.min_n, max_n + 1))
-    _emit(_RENDERERS[args.format](rows), args.output)
+
+    def render() -> str:
+        rows: Rows = []
+        for fam in families:
+            table = species.count_table(fam, max_n)
+            rows.extend((fam.label, n, table[n]) for n in range(fam.min_n, max_n + 1))
+        return _RENDERERS[args.format](rows)
+
+    _emit(args.output, render)
     return 0
 
 
+def _check_series(command: str, which: str, option: str, value: int) -> int:
+    """The least degree of the series of which, once value passes its guards."""
+    least = 1 if which == "R" else 2
+    if value < least:
+        raise _UsageError(f"{command} {which} requires {option} >= {least}")
+    if value > species.SERIES_LIMIT:
+        raise _UsageError(f"{option} {value} exceeds the series guard {species.SERIES_LIMIT}")
+    return least
+
+
 def cmd_zindex(args: SimpleNamespace) -> int:
-    least = 1 if args.which == "R" else 2
-    if args.max_degree < least:
-        raise _UsageError(f"zindex {args.which} requires --max-degree >= {least}")
-    _check_guard("--max-degree", args.max_degree, species.SERIES_LIMIT, "series")
-    if args.which == "R":
-        series = binary_tree_cycle_index(args.max_degree)
-    else:
-        series = unrooted_tree_cycle_index(args.max_degree)
-    _emit(series.render() + "\n", args.output)
+    _check_series("zindex", args.which, "--max-degree", args.max_degree)
+    N, unrooted = args.max_degree, args.which == "U"
+    _emit(args.output, lambda: species.closed_form_cycle_index(N, unrooted).render() + "\n")
     return 0
 
 
 def cmd_gf(args: SimpleNamespace) -> int:
-    start = 1 if args.which == "R" else 2
-    if args.max_n < start:
-        raise _UsageError(f"gf {args.which} requires --max-n >= {start}")
-    _check_guard("--max-n", args.max_n, species.SERIES_LIMIT, "series")
-    if args.which == "R":
-        series = binary_tree_cycle_index(args.max_n)
-        label = "R-unlabeled"
-    else:
-        series = unrooted_tree_cycle_index(args.max_n)
-        label = "U-unlabeled"
-    gf = series.unlabeled_gf()
-    rows: Rows = []
-    for n in range(start, args.max_n + 1):
-        value = gf[n]
-        count = species._divide(value.numerator, value.denominator, f"{label} at n = {n}")
-        rows.append((label, n, count))
-    _emit(_RENDERERS[args.format](rows), args.output)
+    start = _check_series("gf", args.which, "--max-n", args.max_n)
+    label = f"{args.which}-unlabeled"
+
+    def render() -> str:
+        gf = species.closed_form_cycle_index(args.max_n, args.which == "U").unlabeled_gf()
+        rows: Rows = [
+            (label, n, species._divide(c.numerator, c.denominator, f"{label} at n = {n}"))
+            for n, c in enumerate(gf[start:], start)
+        ]
+        return _RENDERERS[args.format](rows)
+
+    _emit(args.output, render)
     return 0
 
 
@@ -264,8 +264,8 @@ class _UsageError(Exception):
 _PROG = "tanglecount"
 _DESCRIPTION = """\
 Count unlabeled tanglegrams, tangled chains, and binary tree shapes exactly,
-by integer passes over binary partitions; the cycle-index series are kept as
-the cross-check (zindex, gf, verify)."""
+by integer passes over binary partitions; the solved cycle-index series are
+kept as the cross-check (verify)."""
 
 _REQUIRED = "(required)"
 _REPEATED = "(required, repeatable)"

@@ -36,11 +36,12 @@ binary lam are one pass per group of the mu, seeded with every lam = 1^j
 at once, that carries sums of products of u and half, and the lam = 3 nu
 are the rooted passes over nu, with a power of 3 per part.
 
-No count goes through a series, and cycle_index loads only when a series
-is asked for.  The series route stays as the independent cross-check: the
-rooted cycle index solves Z = p_1 + h_2[Z] (a binary tree is a leaf or an
-unordered pair of binary trees), and the unrooted one is
-Z_U = h_3[Z] + p_1 Z + Z - Z^2 - p_1.
+No count goes through a series solve, and cycle_index loads only when a
+series is asked for.  closed_form_cycle_index reads either cycle index off
+r and u, the coefficient of p_lam being a_lam / z_lam.  The solved series
+stay as the independent cross-check: the rooted cycle index solves
+Z = p_1 + h_2[Z] (a binary tree is a leaf or an unordered pair of binary
+trees), and the unrooted one is Z_U = h_3[Z] + p_1 Z + Z - Z^2 - p_1.
 """
 
 from __future__ import annotations
@@ -329,16 +330,35 @@ def u_direct(lam: Partition) -> int:
     return 0
 
 
+def closed_form_cycle_index(N: int, unrooted: bool) -> CycleIndexSeries:
+    """unrooted_tree_cycle_index(N) if unrooted, else binary_tree_cycle_index(N),
+    with no solve: the coefficient of p_lam is u_direct(lam) / z_lam or
+    r_closed_form(lam) / z_lam, read on every lam |- n <= N."""
+    from fractions import Fraction
+
+    from .cycle_index import CycleIndexSeries
+
+    fixed = u_direct if unrooted else r_closed_form
+    terms = {}
+    for n in range(1, N + 1):
+        for lam in iter_partitions(n):
+            a = fixed(lam)
+            if a:
+                terms[lam] = Fraction(a, z(lam))
+    return CycleIndexSeries(terms, N)
+
+
 # -- counts ---------------------------------------------------------------
 
 
 # Largest inputs the command line accepts on each path, so that no accepted
 # command runs for much more than a minute.  On a 2-core Xeon vCPU with
-# CPython 3.11 the four rooted tables (k = 3) take 3.8 s to n = 600, both
-# unrooted tables 2.2 s, and the series solve for zindex and gf grows about
-# threefold every 5 degrees.
+# CPython 3.11 the four rooted tables (k = 3) take 3.8 s to n = 600 and both
+# unrooted tables 2.2 s.  zindex and gf scan the p(n) partitions of every
+# n <= N, and zindex prints every term: at N = 40, 0.9 s and 220 KB for U,
+# and the scan grows about 2.3-fold and the text 1.7-fold every 5 degrees.
 TABLE_LIMIT = 600  # count_table for any family
-SERIES_LIMIT = 40  # anything that solves Z = p_1 + h_2[Z]
+SERIES_LIMIT = 40  # closed_form_cycle_index for zindex and gf
 # count_table makes one _fixed_point_table pass per _pass_key of G's cycle
 # types, and a pass runs about max_n^2 steps of its inner loop.  Each step
 # has a fixed interpreter cost, the STEP_SECONDS * max_n^2 term, which is

@@ -198,7 +198,7 @@ class TestCounts:
         "module, name, error, argv",
         [
             (oracle, "burnside_count", oracle.SizeLimitExceeded, ("verify", "--max-n", "3")),
-            (cli, "binary_tree_cycle_index", DegreeOutOfRange,
+            (species, "closed_form_cycle_index", DegreeOutOfRange,
              ("zindex", "R", "--max-degree", "3")),
         ],
         ids=["SizeLimitExceeded", "DegreeOutOfRange"],
@@ -346,7 +346,9 @@ class TestGf:
         assert "guard" in err
 
     def test_non_integer_coefficient_is_internal_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "binary_tree_cycle_index", lambda N: series(N, ((2,), 1, 3)))
+        monkeypatch.setattr(
+            species, "closed_form_cycle_index", lambda N, unrooted: series(N, ((2,), 1, 3))
+        )
         code, out, err = run(capsys, "gf", "R", "--max-n", "2")
         assert code == 1 and out == ""
         assert err.startswith(
@@ -541,6 +543,28 @@ class TestCommandLine:
         assert out == ""
         assert err == f"error: cannot write {target}: {reason}\n"
 
+    # the destination opens after the guards and before any counting
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["counts", "--family", "rooted-ordered", "--family", "unrooted-ordered",
+              "--max-n", "600"], "count_table"),
+            (["zindex", "U", "--max-degree", "40"], "closed_form_cycle_index"),
+            (["gf", "U", "--max-n", "40"], "closed_form_cycle_index"),
+        ],
+        ids=["counts", "zindex", "gf"],
+    )
+    def test_output_is_opened_before_computing(self, capsys, monkeypatch, tmp_path, argv, name):
+        def forbidden(*args):
+            raise AssertionError("computed before opening the output")
+
+        monkeypatch.setattr(species, name, forbidden)
+        target = tmp_path / "missing" / "x.tsv"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
     # about 114 KB of table, more than a pipe buffers (64 KiB on Linux),
     # closed after its first bytes; the help, closed before it is written
     @pytest.mark.parametrize(
@@ -600,6 +624,21 @@ print(repr((imported, counted, verify, verify_out.getvalue(), zindex, zindex_out
 """
 
 
+# Runs in a fresh interpreter: zindex and gf print the closed-form series,
+# so neither solver runs, not even once.
+_NO_SOLVE_SCRIPT = """
+import io
+from contextlib import redirect_stdout
+from tanglecount import cli, species
+with redirect_stdout(io.StringIO()):
+    codes = [cli.main(["zindex", "U", "--max-degree", "12"]),
+             cli.main(["gf", "U", "--max-n", "12"])]
+solves = [species.binary_tree_cycle_index.cache_info().misses,
+          species.unrooted_tree_cycle_index.cache_info().misses]
+print(repr((codes, solves)))
+"""
+
+
 class TestStartUp:
     def test_counts_loads_no_series_or_dataclasses(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -620,3 +659,12 @@ class TestStartUp:
         assert verify_out.splitlines() == [f"PASS {name}" for name in VERIFY_CHECKS]
         assert zindex == 0
         assert zindex_out == species.binary_tree_cycle_index(5).render() + "\n"
+
+    def test_zindex_and_gf_solve_nothing(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_SOLVE_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert ast.literal_eval(done.stdout) == ([0, 0], [0, 0])

@@ -122,6 +122,14 @@ class TestUnrootedTreeCycleIndex:
             assert value.denominator == 1 and value >= 0, lam
 
 
+class TestClosedFormCycleIndex:
+    @pytest.mark.parametrize("unrooted", [False, True], ids=species.TREE_KINDS)
+    def test_equals_the_solved_series_through_degree_20(self, unrooted):
+        solve = unrooted_tree_cycle_index if unrooted else binary_tree_cycle_index
+        for N in range(1 + unrooted, 21):
+            assert species.closed_form_cycle_index(N, unrooted) == solve(N), N
+
+
 class TestRCoefficient:
     def test_examples(self):
         zr = binary_tree_cycle_index(4)
@@ -716,6 +724,42 @@ class TestUnrootedAtTheGuard:
             trees = math.prod(range(1, 2 * n - 4, 2))
             gap = math.factorial(n) * ordered[n] / trees**2 - math.exp(1 / 8)
             assert 0.55 <= n * gap <= 0.60, n
+
+
+class TestRootedAtTheGuard:
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return count_table(ROOTED_ORDERED, 400), count_table(ROOTED_UNORDERED, 400)
+
+    @staticmethod
+    def gaps(table, k, limit):
+        # n times the gap of n! a_n / ((2n-3)!!)^k above its limit, at n = 100, 200, 400
+        for n in (100, 200, 400):
+            trees = math.prod(range(1, 2 * n - 2, 2))
+            yield n * (math.factorial(n) * table[n] / trees**k - limit)
+
+    def test_involution_bounds(self, tables):
+        ordered, unordered = tables
+        for n in range(1, 401):
+            assert ordered[n] >= unordered[n] >= Fraction(ordered[n], 2), n
+
+    def test_asymptotic_window(self, tables):
+        # Billey, Konvalinka & Matsen: n! t_n / ((2n-3)!!)^2 tends to e^(1/8),
+        # about 0.29/n above it (0.2895, 0.2864, 0.2848 at n = 100, 200, 400)
+        for gap in self.gaps(tables[0], 2, math.exp(1 / 8)):
+            assert 0.27 <= gap <= 0.31
+
+    def test_chain_of_three_window(self):
+        # n! c_n / ((2n-3)!!)^3 tends to 1, about 0.063/n above it
+        # (0.0648, 0.0636, 0.0631 at n = 100, 200, 400)
+        for gap in self.gaps(count_table(chain(3), 400), 3, 1):
+            assert 0.055 <= gap <= 0.075
+
+    def test_chain_of_two_is_rooted_ordered(self, tables):
+        assert count_table(chain(2), 400) == tables[0]
+
+    def test_chain_of_one_is_wedderburn_etherington_at_600(self):
+        assert count_table(chain(1), 600) == wedderburn_etherington(600)
 
 
 class TestWedderburnEtherington:
