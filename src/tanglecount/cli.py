@@ -94,16 +94,23 @@ _RENDERERS = {
 
 def _emit(output: str | None, render: Callable[[], str]) -> None:
     """Write render() to stdout, or to the file output.  The file is opened
-    first, so that a path that cannot be written fails before any counting."""
+    first, so that a path that cannot be written fails before any counting,
+    and emptied only once the text is ready, so that a run that fails or is
+    interrupted leaves it as it was."""
     if output is None:
         sys.stdout.write(render())
         return
     try:
-        handle = open(output, "w")
+        handle = open(output, "a")
     except OSError as exc:
         raise _UsageError(f"cannot write {output}: {exc.strerror}") from exc
     with handle:
-        handle.write(render())
+        text = render()
+        # opened for appending, a file stands at its end: 0 for a new one, and
+        # for /dev/null, which refuses truncate; a pipe cannot tell()
+        if handle.seekable() and handle.tell():
+            handle.truncate(0)
+        handle.write(text)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -115,9 +122,10 @@ def cmd_counts(args: SimpleNamespace) -> int:
     for fam in families:
         if max_n < fam.min_n:
             raise _UsageError(f"{fam.label} requires --max-n >= {fam.min_n}")
-        reason = species.table_guard(fam, max_n)
-        if reason is not None:
-            raise _UsageError(f"{fam.label} to --max-n {max_n}: {reason}")
+    reason = species.table_guard(families, max_n)
+    if reason is not None:
+        labels = ", ".join(fam.label for fam in families)
+        raise _UsageError(f"{labels} to --max-n {max_n}: {reason}")
 
     def render() -> str:
         rows: Rows = []

@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -117,7 +117,8 @@ class TanglegramFamily:
         if spec is None:
             raise ValueError(f"unknown family kind {kind!r}")
         if spec.chain:
-            if k is not None and not isinstance(k, int):
+            # a bool is an int, but chain(True) would label itself k=True
+            if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
                 raise ValueError(f"{kind} requires an integer chain length k, not {k!r}")
             if k is None or k < 1:
                 raise ValueError(f"{kind} requires a chain length k >= 1")
@@ -352,12 +353,11 @@ def closed_form_cycle_index(N: int, unrooted: bool) -> CycleIndexSeries:
 
 
 # Largest inputs the command line accepts on each path, so that no accepted
-# command runs for much more than a minute.  On a 2-core Xeon vCPU with
-# CPython 3.11 the four rooted tables (k = 3) take 3.8 s to n = 600 and both
-# unrooted tables 2.2 s.  zindex and gf scan the p(n) partitions of every
-# n <= N, and zindex prints every term: at N = 40, 0.9 s and 220 KB for U,
-# and the scan grows about 2.3-fold and the text 1.7-fold every 5 degrees.
-TABLE_LIMIT = 600  # count_table for any family
+# command runs for much more than a minute.  zindex and gf scan the p(n)
+# partitions of every n <= N, and zindex prints every term: at N = 40, 0.9 s
+# and 220 KB for U on a 2-core Xeon vCPU with CPython 3.11, and the scan
+# grows about 2.3-fold and the text 1.7-fold every 5 degrees.  counts is held
+# by the time model below alone (table_guard), with no fixed bound on n.
 SERIES_LIMIT = 40  # closed_form_cycle_index for zindex and gf
 # count_table makes one _fixed_point_table pass per _pass_key of G's cycle
 # types, and a pass runs about max_n^2 steps of its inner loop.  Each step
@@ -367,11 +367,13 @@ SERIES_LIMIT = 40  # closed_form_cycle_index for zindex and gf
 # carried product, about (1 + p) n log n bits for a mu of p parts, the
 # PASS_SECONDS * (1 + p) term, and multiplies it by a block of about p log n
 # bits, the PART_SECONDS * p^1.75 term; max_n^3.2 stands in for max_n^3 log
-# max_n.  _pass_costs charges the unrooted passes too.  The 13 rooted tables
-# the constants were fitted to and 2 unrooted ones, timed on the same host,
-# are the rows of test_pass_model_within_15_percent.
+# max_n.  _pass_costs charges the unrooted passes too.  The constants fit
+# the 22 rows of test_pass_model_within_15_percent, all timed on one host:
+# 13 rooted and 2 unrooted tables to n <= 600, and 7 tables to n = 1000 and
+# 1500.  Past 1500 the model overestimates (rooted-ordered to 2000 took
+# 22.2 s for a modelled 34.2 s), which errs toward refusing.
 STEP_SECONDS = 5e-7
-PASS_SECONDS = 2.7e-10
+PASS_SECONDS = 2.65e-10
 PART_SECONDS = 2.5e-11
 # The command line then prints each count in decimal, which CPython 3.11
 # does in time quadratic in its digits d: PRINT_SECONDS * d^2 fits printing
@@ -446,31 +448,37 @@ def _pass_costs(family: TanglegramFamily, max_n: int) -> Iterator[tuple[int, flo
             yield parts, _pass_seconds(parts, max_n)
 
 
-def table_guard(family: TanglegramFamily, max_n: int) -> str | None:
-    """Why the command line refuses count_table(family, max_n), or None.
+def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
+    """Why the command line refuses one counts command, every family of it
+    to max_n, or None.
 
-    max_n is held to TABLE_LIMIT.  The pass guard then sums the estimated
-    time of printing the counts and of the passes (_pass_costs), and the
-    passes' parts.  The types of G are listed one at a time and the sums
-    checked after each new pass key, so that a large k is refused after a
-    few types, without k! or the p(k) types of S_k.
+    The guard sums over the families the modelled time of printing and of
+    the passes (_pass_costs; a pass two families share is charged to each),
+    and the passes' parts.  An n whose step term alone passes the budget,
+    by an exact integer comparison, and a k over PASS_PARTS_LIMIT are
+    refused first, so that no input is too large to refuse at once.  The
+    types of G are listed one at a time and the sums checked after each new
+    pass key, so that a large k is refused without k! or the p(k) types.
     """
-    if max_n > TABLE_LIMIT:
-        return f"n is over the table guard {TABLE_LIMIT}"
-    parts, seconds = 0, _print_seconds(family, max_n)
-    for pass_parts, pass_seconds in _pass_costs(family, max_n):
-        parts += pass_parts
-        if parts > PASS_PARTS_LIMIT:
-            return (
-                f"its passes would have more than {PASS_PARTS_LIMIT} parts, "
-                "over the pass guard"
-            )
-        seconds += pass_seconds
-        if seconds > PASS_SECONDS_LIMIT:
-            return (
-                f"its passes and printing would take over {PASS_SECONDS_LIMIT:g} s, "
-                "the pass guard"
-            )
+    too_slow = (
+        f"the passes and printing would take over {PASS_SECONDS_LIMIT:g} s, "
+        "the pass guard"
+    )
+    too_many = f"the passes would have more than {PASS_PARTS_LIMIT} parts, over the pass guard"
+    if max_n**2 > PASS_SECONDS_LIMIT / STEP_SECONDS:
+        return too_slow
+    parts, seconds = 0, 0.0
+    for family in families:
+        if family.trees > PASS_PARTS_LIMIT:
+            return too_many
+        seconds += _print_seconds(family, max_n)
+        for pass_parts, pass_seconds in _pass_costs(family, max_n):
+            parts += pass_parts
+            if parts > PASS_PARTS_LIMIT:
+                return too_many
+            seconds += pass_seconds
+            if seconds > PASS_SECONDS_LIMIT:
+                return too_slow
     return None
 
 
@@ -601,7 +609,10 @@ def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
 
 # Bytes the pass store may hold, each table charged by _table_bytes: enough
 # that a counts run of the six families (k = 3) to n = 600 builds each of
-# its 9 passes once (a 2 MiB store rebuilt the 1^3 pass there, 1.0 s).
+# its 9 passes once (a 2 MiB store rebuilt the 1^3 pass there, 1.0 s).  A
+# pass grows about as n^2 log n bytes, and the rooted pass of 1^2 outgrows
+# the store past about n = 1260 (0.83 MiB at 600, 2.46 MiB at 1000), so
+# table_guard charges a pass that two families share to each of them.
 PASS_STORE_BYTES = 4 << 20
 
 

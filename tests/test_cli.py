@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,37 @@ class TestCounts:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_output_file_survives_a_failed_run(self, capsys, monkeypatch, tmp_path):
+        def broken(*args):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(species, "count_table", broken)
+        target = tmp_path / "keep.tsv"
+        target.write_text("kept\n")
+        code, _, err = run(
+            capsys, "counts", "--family", "rooted-ordered", "--max-n", "5",
+            "--output", str(target),
+        )
+        assert code == 1
+        assert err.startswith("internal error:") and "broken" in err
+        assert target.read_text() == "kept\n"
+
+    def test_output_file_is_replaced(self, capsys, tmp_path):
+        target = tmp_path / "counts.tsv"
+        target.write_text("a longer text than the table of n <= 2\n" * 10)
+        code, _, _ = run(
+            capsys, "counts", "--family", "rooted-ordered", "--max-n", "2",
+            "--output", str(target),
+        )
+        assert code == 0
+        assert target.read_text() == "family\tn\tcount\nrooted-ordered\t1\t1\nrooted-ordered\t2\t1\n"
+        # a device that refuses truncate, and stands at 0 when opened
+        code, _, _ = run(
+            capsys, "counts", "--family", "rooted-ordered", "--max-n", "2",
+            "--output", os.devnull,
+        )
+        assert code == 0
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "counts.csv"
         code, out, _ = run(
@@ -214,12 +246,7 @@ class TestCounts:
 
     @pytest.mark.parametrize(
         "family, max_n",
-        [
-            ("unrooted-ordered", species.TABLE_LIMIT + 1),
-            ("unrooted-unordered", 10_000),
-            ("rooted-ordered", species.TABLE_LIMIT + 1),
-            ("chain-unordered", 10_000),
-        ],
+        [("unrooted-unordered", 10_000), ("chain-unordered", 10_000)],
     )
     def test_guard_refuses_before_computing(self, capsys, monkeypatch, family, max_n):
         def forbidden(*args):
@@ -233,13 +260,59 @@ class TestCounts:
         assert code == 2
         assert "guard" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "unrooted-ordered", "--max-n", "2000"),
+            ("--family", "rooted-ordered", "--max-n", "2100"),
+            ("--family", "rooted-ordered", "--max-n", str(10**30)),
+            ("--family", "rooted-ordered", "--max-n", str(10**400)),
+            # each family alone is admitted (the limits below)
+            ("--family", "unrooted-ordered", "--family", "unrooted-unordered",
+             "--max-n", "1500"),
+        ],
+        ids=["unrooted-ordered-2000", "rooted-ordered-2100", "1e30", "1e400",
+             "both-unrooted-1500"],
+    )
+    def test_guard_refuses_past_the_model(self, capsys, monkeypatch, argv):
+        def forbidden(*args):
+            raise AssertionError("computed past the guard")
+
+        monkeypatch.setattr(species, "count_table", forbidden)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "counts", *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert "guard" in err
+
+    # the largest n that the time model admits for each family alone, k = 3
+    # for the chains; no fixed cap on n stands before it
+    LIMITS = {
+        "rooted-ordered": 2092,
+        "rooted-unordered": 1784,
+        "unrooted-ordered": 1878,
+        "unrooted-unordered": 1579,
+        "chain": 1875,
+        "chain-unordered": 1465,
+    }
+
     @pytest.mark.parametrize("family", ["unrooted-ordered", "unrooted-unordered"])
     def test_unrooted_guard_admits_its_limit(self, capsys, monkeypatch, family):
+        self.check_limit(capsys, monkeypatch, family)
+
+    @pytest.mark.parametrize("family", ["rooted-ordered", "rooted-unordered", "chain",
+                                        "chain-unordered"])
+    def test_rooted_guard_admits_its_limit(self, capsys, monkeypatch, family):
+        self.check_limit(capsys, monkeypatch, family)
+
+    def check_limit(self, capsys, monkeypatch, family):
         monkeypatch.setattr(species, "count_table", lambda fam, max_n: [0] * (max_n + 1))
-        code, _, _ = run(
-            capsys, "counts", "--family", family, "--max-n", str(species.TABLE_LIMIT)
-        )
-        assert code == 0
+        limit = self.LIMITS[family]
+        for max_n, expected in ((601, 0), (limit, 0), (limit + 1, 2)):
+            code, _, _ = run(
+                capsys, "counts", "--family", family, "--k", "3", "--max-n", str(max_n)
+            )
+            assert code == expected, max_n
 
     @pytest.mark.parametrize("k, max_n", [(10**6, 10), (31, 22), (20, 400), (12, 600)])
     def test_chain_pass_guard_refuses_before_computing(self, capsys, monkeypatch, k, max_n):

@@ -247,6 +247,7 @@ class TestTanglegramFamily:
             ("chain-unordered", 0, "chain-unordered requires a chain length k >= 1"),
             ("rooted-ordered", 2, "rooted-ordered does not take a chain length"),
             ("chain", 2.5, "chain requires an integer chain length k, not 2.5"),
+            ("chain", True, "chain requires an integer chain length k, not True"),
             ("chain-unordered", "3",
              "chain-unordered requires an integer chain length k, not '3'"),
         ],
@@ -570,13 +571,18 @@ class TestCountTable:
 
     def test_chain_pass_parts(self):
         # the 769 passes of k = 30 have 9013 parts, those of k = 31 over 10000
-        assert species.table_guard(chain_unordered(30), 1) is None
-        assert "parts" in species.table_guard(chain_unordered(31), 1)
-        # a single pass over the bound, refused without listing more types
-        assert "parts" in species.table_guard(chain(10**6), 1)
+        assert species.table_guard([chain_unordered(30)], 1) is None
+        assert "parts" in species.table_guard([chain_unordered(31)], 1)
+        # a single pass over the bound, refused without listing any type:
+        # the type 1^k of k = 10^400 could not even be built
+        assert "parts" in species.table_guard([chain(10**6)], 1)
+        assert "parts" in species.table_guard([chain(10**400)], 1)
+        # the parts are summed over the families
+        assert "parts" in species.table_guard([chain_unordered(30)] * 2, 1)
 
     # whole tables timed on a 2-core Xeon vCPU with CPython 3.11, in-process
-    # count_table in a fresh process each, median of five runs
+    # count_table in a fresh process each: to n <= 600 the median of five
+    # runs, past 600 single runs on the same host
     @pytest.mark.parametrize(
         "family, max_n, measured",
         [
@@ -595,6 +601,13 @@ class TestCountTable:
             (chain_unordered(30), 100, 15.36),
             (UNROOTED_ORDERED, 600, 1.23),
             (UNROOTED_UNORDERED, 600, 1.98),
+            (ROOTED_ORDERED, 1000, 3.9),
+            (ROOTED_UNORDERED, 1000, 6.0),
+            (UNROOTED_ORDERED, 1000, 6.4),
+            (UNROOTED_UNORDERED, 1000, 10.4),
+            (chain_unordered(3), 1000, 13.1),
+            (ROOTED_ORDERED, 1500, 12.3),
+            (UNROOTED_UNORDERED, 1500, 30.3),
         ],
     )
     def test_pass_model_within_15_percent(self, family, max_n, measured):
@@ -611,10 +624,31 @@ class TestCountTable:
 
     def test_guard_charges_printing(self):
         # 33.7 s of passes and 48.8 s of printing
-        assert "printing" in species.table_guard(chain(500), 200)
+        assert "printing" in species.table_guard([chain(500)], 200)
         # 14.1 s and 6.9 s
-        assert species.table_guard(chain(30), 600) is None
-        assert species.table_guard(chain(100), 200) is None
+        assert species.table_guard([chain(30)], 600) is None
+        assert species.table_guard([chain(100)], 200) is None
+
+    def test_guard_sums_the_families(self):
+        # each alone fits the budget, both together do not
+        unrooted = [UNROOTED_ORDERED, UNROOTED_UNORDERED]
+        for family in unrooted:
+            assert species.table_guard([family], 1500) is None
+        assert "printing" in species.table_guard(unrooted, 1500)
+        # a pass two families share is charged to each: 25.0 s each
+        assert species.table_guard([ROOTED_ORDERED], 1800) is None
+        assert "printing" in species.table_guard([ROOTED_ORDERED, chain(2)], 1800)
+
+    @pytest.mark.parametrize("max_n", [8945, 10**30, 10**400])
+    def test_guard_refuses_any_n_at_once(self, monkeypatch, max_n):
+        # the step term of one pass alone passes the budget, so neither the
+        # float model nor the loop over n runs
+        def forbidden(*args):
+            raise AssertionError("modelled past the step bound")
+
+        monkeypatch.setattr(species, "_print_seconds", forbidden)
+        monkeypatch.setattr(species, "_pass_costs", forbidden)
+        assert "printing" in species.table_guard([ROOTED_ORDERED], max_n)
 
     def test_non_integer_count_message(self):
         # total/divisor as given, without reducing the fraction
