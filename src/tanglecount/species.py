@@ -30,11 +30,14 @@ follows from r by two rules (u_direct): on a binary lam, a step that the
 dissymmetry decomposition of the unrooted species gives as each part
 joins a lam of size m, u' = (2m - 3) u + half and half' = 2 (m - 1) half
 with half = 2^l(lam) r_{lam/2}; on lam = 3 nu, root the tree at the
-vertex whose three branches the permutation rotates.  Each rule gives
-binary-partition passes, so no term is summed one lam at a time: the
-binary lam are one pass per group of the mu, seeded with every lam = 1^j
-at once, that carries sums of products of u and half, and the lam = 3 nu
-are the rooted passes over nu, with a power of 3 per part.
+vertex whose three branches the permutation rotates.  The step is
+diagonal in d = u - half, d' = (2m - 3) d, so D = 3d and half are
+products over the parts of lam, as r is, and 3u = D + 3 half.  Each rule
+gives binary-partition passes of one running product, the same pass as
+r's with other factors, so no term is summed one lam at a time: the
+binary lam are the passes of D^2, D half and half^2 for mu = 1^2 and of
+D and half for mu = (2), seeded with every lam = 1^j at once, and the
+lam = 3 nu are the rooted passes over nu, with a power of 3 per part.
 
 No count goes through a series solve, and cycle_index loads only when a
 series is asked for.  closed_form_cycle_index reads either cycle index off
@@ -305,12 +308,15 @@ def u_direct(lam: Partition) -> int:
       3 u' = (2m - 3) S + half + 2 r - (2m - 1) r + 4 (m - 1) half
            = (2m - 3) (S - r + 2 half) + 3 half
       u'   = (2m - 3) u + half,   half' = 2 (m - 1) half
+      d'   = (2m - 3) d           for d = u - half
 
     from a single part's u = 1 and half = 2 (S = 0, r = 1).
 
     A smallest part 1, a fixed leaf, starts at u = 0 and half = 1 instead,
     so that the first step gives u = 1 and half = 0, and from then on
-    u' = (2m - 3) u is r's product formula on lam less that leaf.
+    u' = (2m - 3) u is r's product formula on lam less that leaf.  Either
+    way d = -1 at the smallest part, so u = half - prod (2m - 3) over the
+    parts after it.
     """
     if is_binary_partition(lam):
         # from the smallest part up; the empty lam, like one leaf, has u = 0
@@ -428,9 +434,9 @@ def _print_seconds(family: TanglegramFamily, max_n: int) -> float:
 def _pass_costs(family: TanglegramFamily, max_n: int) -> Iterator[tuple[int, float]]:
     """One (parts, seconds) per _pass_key of G's cycle types, in their
     order: the parts of its mu and the modelled time of the passes that
-    count_table builds for it to max_n.  An unrooted key builds an
-    _unrooted_table pass, charged as a pass of the parts + 1 values it
-    carries, and a rotated pass to max_n // 3.  A mu of more parts than
+    count_table builds for it to max_n.  An unrooted key builds the parts
+    + 1 scalar passes of _unrooted_table, charged as one pass of parts + 1
+    parts, and a rotated pass to max_n // 3.  A mu of more parts than
     PASS_PARTS_LIMIT ends the list before its key is taken."""
     keys: set[PassKey] = set()
     for mu in family.group_types():
@@ -482,8 +488,25 @@ def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
     return None
 
 
+def _r_factor(m: int, size: int) -> int:
+    return 2 * (m + size) - 1  # r's product formula: 2 (size after the piece) - 1
+
+
+def _d_factor(m: int, size: int) -> int:
+    return 2 * m - 3  # d' = (2m - 3) d, d = u - half (see u_direct)
+
+
+def _half_factor(m: int, size: int) -> int:
+    return 2 * m - 2  # half' = 2 (m - 1) half
+
+
 def _fixed_point_table(
-    g: int, valuations: tuple[int, ...], max_n: int, rotated: bool = False
+    g: int,
+    valuations: tuple[int, ...],
+    max_n: int,
+    rotated: bool = False,
+    factors: tuple | None = None,
+    seed: list[int] | None = None,
 ) -> list[int]:
     """Index n holds n! times the sum over lam |- n of
     prod over parts j of mu of (2n-1) * r_{lam^j}, divided by z_lam, for any
@@ -505,26 +528,28 @@ def _fixed_point_table(
 
     Under j = 2^b * o a part 2^a of nu splits into 2^c parts of size
     2^(a-c), c = min(a, b), so only b matters.  Built from the smallest part
-    up, the running size after each piece is its tail, and r's product
-    formula gives the piece the factor 2*tail - 1; the largest piece's
-    factor is the extra 2n - 1 per part of mu.
+    up, each piece gets a factor of the running size m below it: r's
+    product formula gives 2 (m + size) - 1, and the largest piece's factor
+    is the extra 2n - 1 per part of mu.  factors, one per part of mu in the
+    order of valuations, replace r's, and seed, the entries of the lam = 1^j
+    (n!/z_lam = 1), starts the pass at s = 2: _unrooted_table's passes.
     """
     odd_lengths = [e for e in range(1, g + 1, 2) if g % e == 0]
-    table = [1] + [0] * max_n
-    s, a = 1, 0
+    factors = factors or (_r_factor,) * len(valuations)
+    table, s, a = (list(seed), 2, 1) if seed else ([1] + [0] * max_n, 1, 0)
     while s <= max_n:
-        splits = Counter(min(a, b) for b in valuations).items()
-        turns = 3 ** (sum(times << c for c, times in splits) - 1) if rotated else 1
+        splits = Counter((min(a, b), f) for b, f in zip(valuations, factors)).items()
+        turns = 3 ** (sum(times << c for (c, _), times in splits) - 1) if rotated else 1
         # pieces[t]: product over the parts j of mu of the factors that one
         # part s of nu adds when t points lie below it
         pieces = []
         for t in range(max_n - s + 1):
             factor = turns
-            for c, times in splits:
+            for (c, f), times in splits:
                 size = s >> c
                 split = 1
-                for i in range(1, (1 << c) + 1):
-                    split *= 2 * (t + i * size) - 1
+                for i in range(1 << c):
+                    split *= f(t + i * size, size)
                 factor *= split**times
             pieces.append(factor)
         # the cycles of lam of length e*s, one odd e | g after another: the
@@ -556,51 +581,25 @@ def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
     prod over parts j of mu of (2n - 3) u_{lam^j}, divided by z_lam, for
     mu = 1^2 (valuations (0, 0)) or (2) (valuations (1,)).
 
-    The pass runs like _fixed_point_table over part sizes s = 2, 4, 8, ...
-    and carries, weighted by n!/z_lam, the three products UU, Uh, hh of
-    lam's (U, half), U = 3u, for 1^2, and lam^2's U and half, two parts s/2
-    for each part s, for (2).  Each part grows (U, half) by u_direct's step
-    U' = (2m - 3) U + 3 half, half' = 2 (m - 1) half at m = |lam|, linear at
-    a fixed m.  It starts from every lam = 1^j at once, its own square,
-    with n!/z_lam = 1: (U, half) = (-2, -1) at j = 0, which the step at
-    m = 0 takes to a single part's (3, 2), u_direct's (0, 1) at j = 1, and
-    (3 r_{1^(j-1)}, 0) = (3 (2j - 5)!!, 0) from j = 2 on.
+    U = 3u = D + 3 half, where D = 3 (u - half) and half are products over
+    the parts of lam (see u_direct), so a product of p alike U_{lam^j} is
+    the sum over i of C(p, i) 3^i D^(p-i) half^i: scalar passes of D^2,
+    D half and half^2 for 1^2, of D and half of lam^2 for (2).  Each is
+    seeded with every lam = 1^j, D = prod_{i<j} (2i - 3) and half = -1, 1,
+    0, 0, ...: the empty lam's (D, half) = (1, -1) grows at m = 0 to a
+    single part's (-3, 2), and j = 1 is u_direct's (u, half) = (0, 1).
     """
-    square = len(valuations) == 2
-    # U and half of lam = 1^j, j = 0, 1, 2, ...
-    Us, halves = [-2, 0, 3], [-1, 1] + [0] * (max_n - 1)
-    for j in range(3, max_n + 1):
-        Us.append(Us[-1] * (2 * j - 5))
-    if square:  # their products
-        UUs, Uhs, hhs = [U * U for U in Us], [2] + [0] * max_n, [1, 1] + [0] * (max_n - 1)
-    s = 2
-    while s <= max_n:
-        # from the top down, as in _fixed_point_table
-        for base in range(max_n - s, -1, -1):
-            if square:
-                UU, Uh, hh = UUs[base], Uhs[base], hhs[base]
-            else:
-                U, half = Us[base], halves[base]
-            for m in range(1, (max_n - base) // s + 1):
-                size = base + (m - 1) * s
-                a, c, top = 2 * size - 3, 2 * (size - 1), size + s
-                # exact as in _fixed_point_table, on integers grown from those
-                # at base by a step that is linear at size > 0
-                scale, cycles = math.perm(top, s), s * m
-                if square:  # lam gains a part s at size
-                    UU = (a * a * UU + 6 * a * Uh + 9 * hh) * scale // cycles
-                    Uh = c * (a * Uh + 3 * hh) * scale // cycles
-                    hh = c * c * hh * scale // cycles
-                    UUs[top] += UU
-                    Uhs[top] += Uh
-                    hhs[top] += hh
-                else:  # lam^2 gains a part s/2 at size and at size + s/2
-                    U = ((a + s) * (a * U + 3 * half) + 3 * c * half) * scale // cycles
-                    half = (c + s) * c * half * scale // cycles
-                    Us[top] += U
-                    halves[top] += half
-        s *= 2
-    sums, parts = UUs if square else Us, len(valuations)
+    parts = len(valuations)
+    Ds, halves = [1], ([-1, 1] + [0] * max_n)[: max_n + 1]
+    for j in range(1, max_n + 1):
+        Ds.append(Ds[-1] * (2 * j - 5))
+    sums = [0] * (max_n + 1)
+    for i in range(parts + 1):
+        factors = (_d_factor,) * (parts - i) + (_half_factor,) * i
+        seed = [D ** (parts - i) * half**i for D, half in zip(Ds, halves)]
+        weight = math.comb(parts, i) * 3**i
+        for n, x in enumerate(_fixed_point_table(1, valuations, max_n, False, factors, seed)):
+            sums[n] += weight * x
     table = [0] * (max_n + 1)
     for n in range(2, max_n + 1):
         table[n] = _divide(sums[n], 3**parts, f"sum of u at {n}") * (2 * n - 3) ** parts
@@ -630,8 +629,8 @@ def _table_bytes(table: tuple) -> int:
 
 class _PassStore:
     """Every pass that count_table reads, by its key: (g, valuations,
-    rotated) for a _fixed_point_table pass, ("unrooted", valuations) for an
-    _unrooted_table pass.
+    rotated) for a _fixed_point_table pass, ("unrooted", valuations) for
+    the sum of the D and half passes of an _unrooted_table.
     A pass depends on its key only, never on the family, and entry n is
     summed from smaller bases only, so a table built to the largest max_n
     asked for so far answers any smaller max_n by indexing; a larger max_n

@@ -123,11 +123,14 @@ class TestUnrootedTreeCycleIndex:
 
 
 class TestClosedFormCycleIndex:
-    @pytest.mark.parametrize("unrooted", [False, True], ids=species.TREE_KINDS)
-    def test_equals_the_solved_series_through_degree_20(self, unrooted):
-        solve = unrooted_tree_cycle_index if unrooted else binary_tree_cycle_index
-        for N in range(1 + unrooted, 21):
-            assert species.closed_form_cycle_index(N, unrooted) == solve(N), N
+    def test_equals_the_solved_series_through_degree_20(self):
+        # R and then U at each N, so that the solve of U reads Z_R from the
+        # cache instead of solving it again
+        for N in range(1, 21):
+            assert species.closed_form_cycle_index(N, False) == binary_tree_cycle_index(N), N
+            if N >= 2:
+                assert species.closed_form_cycle_index(N, True) == (
+                    unrooted_tree_cycle_index(N)), N
 
 
 class TestRCoefficient:
@@ -212,6 +215,26 @@ class TestUDirect:
                     assert u_direct(lam) == r_closed_form(P(lam.parts[:-1])), lam
                     checked += 1
         assert checked == 3734
+
+    def test_u_is_half_less_the_diagonal_product_through_24(self):
+        # d = u - half is -1 at a single part and steps as d' = (2m - 3) d
+        checked = 0
+        for n in range(1, 25):
+            for mult in binary_partitions(n):
+                lam = from_vector(mult)
+                if lam.parts == (1,):
+                    half = 1
+                elif all(part % 2 == 0 for part in lam.parts):
+                    half = 2 ** len(lam) * r_closed_form(P(tuple(p // 2 for p in lam.parts)))
+                else:
+                    half = 0
+                product, size = 1, lam.parts[-1]
+                for part in reversed(lam.parts[:-1]):
+                    product *= 2 * size - 3
+                    size += part
+                assert u_direct(lam) == half - product, lam
+                checked += 1
+        assert checked == 691
 
     def test_no_part_1_matches_dissymmetry_terms_through_40(self):
         # the recurrence in (u, half) against (S - r + 2 half)/3
@@ -480,8 +503,10 @@ class TestCountTable:
         g, valuations = species._pass_key(Partition(mu))
         n = 150 if len(mu) > 3 else 200
         if unrooted:
-            assert species._unrooted_table(valuations, n) == (
-                reference_unrooted_table(valuations, n))
+            # the seeded lam = 1^j fill the whole table up to n = 1
+            for size in (0, 1, 2, 3, 4, n):
+                assert species._unrooted_table(valuations, size) == (
+                    reference_unrooted_table(valuations, size)), size
         else:
             assert species._fixed_point_table(g, valuations, n, rotated) == (
                 reference_fixed_point_table(g, valuations, n, rotated=rotated))
