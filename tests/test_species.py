@@ -123,14 +123,11 @@ class TestUnrootedTreeCycleIndex:
 
 
 class TestClosedFormCycleIndex:
-    def test_equals_the_solved_series_through_degree_20(self):
-        # R and then U at each N, so that the solve of U reads Z_R from the
-        # cache instead of solving it again
-        for N in range(1, 21):
-            assert species.closed_form_cycle_index(N, False) == binary_tree_cycle_index(N), N
-            if N >= 2:
-                assert species.closed_form_cycle_index(N, True) == (
-                    unrooted_tree_cycle_index(N)), N
+    @pytest.mark.parametrize("unrooted", [False, True], ids=species.TREE_KINDS)
+    def test_equals_the_solved_series_through_degree_20(self, unrooted):
+        solve = unrooted_tree_cycle_index if unrooted else binary_tree_cycle_index
+        for N in range(1 + unrooted, 21):
+            assert species.closed_form_cycle_index(N, unrooted) == solve(N), N
 
 
 class TestRCoefficient:
