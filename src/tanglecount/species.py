@@ -36,7 +36,7 @@ products over the parts of lam, as r is, and 3u = D + 3 half.  Each rule
 gives binary-partition passes of one running product, the same pass as
 r's with other factors, so no term is summed one lam at a time: the
 binary lam are the passes of D^2, D half and half^2 for mu = 1^2 and of
-D and half for mu = (2), seeded with every lam = 1^j at once, and the
+D and half for mu = (2), each from the empty lam up, and the
 lam = 3 nu are the rooted passes over nu, with a power of 3 per part.
 
 No count goes through a series solve, and cycle_index loads only when a
@@ -506,7 +506,6 @@ def _fixed_point_table(
     max_n: int,
     rotated: bool = False,
     factors: tuple | None = None,
-    seed: list[int] | None = None,
 ) -> list[int]:
     """Index n holds n! times the sum over lam |- n of
     prod over parts j of mu of (2n-1) * r_{lam^j}, divided by z_lam, for any
@@ -531,12 +530,11 @@ def _fixed_point_table(
     up, each piece gets a factor of the running size m below it: r's
     product formula gives 2 (m + size) - 1, and the largest piece's factor
     is the extra 2n - 1 per part of mu.  factors, one per part of mu in the
-    order of valuations, replace r's, and seed, the entries of the lam = 1^j
-    (n!/z_lam = 1), starts the pass at s = 2: _unrooted_table's passes.
+    order of valuations, replace r's: _unrooted_table's passes.
     """
     odd_lengths = [e for e in range(1, g + 1, 2) if g % e == 0]
     factors = factors or (_r_factor,) * len(valuations)
-    table, s, a = (list(seed), 2, 1) if seed else ([1] + [0] * max_n, 1, 0)
+    table, s, a = [1] + [0] * max_n, 1, 0
     while s <= max_n:
         splits = Counter((min(a, b), f) for b, f in zip(valuations, factors)).items()
         turns = 3 ** (sum(times << c for (c, _), times in splits) - 1) if rotated else 1
@@ -584,21 +582,18 @@ def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
     U = 3u = D + 3 half, where D = 3 (u - half) and half are products over
     the parts of lam (see u_direct), so a product of p alike U_{lam^j} is
     the sum over i of C(p, i) 3^i D^(p-i) half^i: scalar passes of D^2,
-    D half and half^2 for 1^2, of D and half of lam^2 for (2).  Each is
-    seeded with every lam = 1^j, D = prod_{i<j} (2i - 3) and half = -1, 1,
-    0, 0, ...: the empty lam's (D, half) = (1, -1) grows at m = 0 to a
-    single part's (-3, 2), and j = 1 is u_direct's (u, half) = (0, 1).
+    D half and half^2 for 1^2, of D and half of lam^2 for (2).  From the
+    empty lam's 1 each pass gives D_lam, and -half_lam for every lam but
+    (1), where it gives 2 against half's 1: a part added at m = 1 has
+    half's factor 2m - 2 = 0, so that entry reaches no n >= 2, the only
+    entries read.
     """
     parts = len(valuations)
-    Ds, halves = [1], ([-1, 1] + [0] * max_n)[: max_n + 1]
-    for j in range(1, max_n + 1):
-        Ds.append(Ds[-1] * (2 * j - 5))
     sums = [0] * (max_n + 1)
     for i in range(parts + 1):
         factors = (_d_factor,) * (parts - i) + (_half_factor,) * i
-        seed = [D ** (parts - i) * half**i for D, half in zip(Ds, halves)]
-        weight = math.comb(parts, i) * 3**i
-        for n, x in enumerate(_fixed_point_table(1, valuations, max_n, False, factors, seed)):
+        weight = math.comb(parts, i) * (-3) ** i
+        for n, x in enumerate(_fixed_point_table(1, valuations, max_n, factors=factors)):
             sums[n] += weight * x
     table = [0] * (max_n + 1)
     for n in range(2, max_n + 1):
