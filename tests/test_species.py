@@ -510,7 +510,8 @@ class TestCountTable:
         g, valuations = species._pass_key(Partition(mu))
         n = 150 if len(mu) > 3 else 200
         if unrooted:
-            # the seeded lam = 1^j fill the whole table up to n = 1
+            # the small sizes hold the edges: the half passes' unread entry at
+            # lam = (1), and n = 2, the first size the table fills
             for size in (0, 1, 2, 3, 4, n):
                 assert species._unrooted_table(valuations, size) == (
                     reference_unrooted_table(valuations, size)), size
