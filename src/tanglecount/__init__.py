@@ -9,8 +9,8 @@ route, and a brute-force Burnside oracle over explicitly enumerated trees
 cross-checks everything at small sizes.
 
 No count reads a series or the oracle, and only verify solves a series
-(zindex and gf print the cycle indices read off the closed forms that the
-counts use), so the series names
+(zindex prints the cycle indices read off the closed forms that the counts
+use, and gf prints count tables), so the series names
 (CycleIndexSeries, p1, h_series, the inner plethysms and the rest from
 cycle_index) and the oracle's (burnside_count, fixed_counts and the rest)
 load on first use: `import tanglecount` and the counting path never import

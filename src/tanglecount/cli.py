@@ -138,33 +138,33 @@ def cmd_counts(args: SimpleNamespace) -> int:
     return 0
 
 
-def _check_series(command: str, which: str, option: str, value: int) -> int:
-    """The least degree of the series of which, once value passes its guards."""
-    least = 1 if which == "R" else 2
-    if value < least:
-        raise _UsageError(f"{command} {which} requires {option} >= {least}")
-    if value > species.SERIES_LIMIT:
-        raise _UsageError(f"{option} {value} exceeds the series guard {species.SERIES_LIMIT}")
-    return least
-
-
 def cmd_zindex(args: SimpleNamespace) -> int:
-    _check_series("zindex", args.which, "--max-degree", args.max_degree)
     N, unrooted = args.max_degree, args.which == "U"
+    if N < 1 + unrooted:
+        raise _UsageError(f"zindex {args.which} requires --max-degree >= {1 + unrooted}")
+    if N > species.SERIES_LIMIT:
+        raise _UsageError(f"--max-degree {N} exceeds the series guard {species.SERIES_LIMIT}")
     _emit(args.output, lambda: species.closed_form_cycle_index(N, unrooted).render() + "\n")
     return 0
 
 
 def cmd_gf(args: SimpleNamespace) -> int:
-    start = _check_series("gf", args.which, "--max-n", args.max_n)
+    # the rooted trees are the chain of one tree, so gf is that count table,
+    # and for U Otter's dissymmetry step on it, under the same guard as counts
+    N, unrooted = args.max_n, args.which == "U"
+    if N < 1 + unrooted:
+        raise _UsageError(f"gf {args.which} requires --max-n >= {1 + unrooted}")
+    rooted = species.chain(1)
+    reason = species.table_guard([rooted], N)
+    if reason is not None:
+        raise _UsageError(f"gf {args.which} to --max-n {N}: {reason}")
     label = f"{args.which}-unlabeled"
 
     def render() -> str:
-        gf = species.closed_form_cycle_index(args.max_n, args.which == "U").unlabeled_gf()
-        rows: Rows = [
-            (label, n, species._divide(c.numerator, c.denominator, f"{label} at n = {n}"))
-            for n, c in enumerate(gf[start:], start)
-        ]
+        table = species.count_table(rooted, N)
+        if unrooted:
+            table = species.unrooted_from_rooted(table)
+        rows: Rows = [(label, n, table[n]) for n in range(1 + unrooted, N + 1)]
         return _RENDERERS[args.format](rows)
 
     _emit(args.output, render)

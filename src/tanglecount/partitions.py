@@ -1,7 +1,7 @@
 """Integer partitions and the partition-level statistics that the
 symmetric-function layer is built on: the centralizer order z(lambda),
-power types lambda^k, multiset union, and the test for partitions into
-powers of 2."""
+power types lambda^k, multiset union, and the partitions into powers of
+2 and the test for them."""
 
 from __future__ import annotations
 
@@ -97,6 +97,24 @@ def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, each exactly once, in reverse lexicographic
     order: (n) first, (1,...,1) last."""
     return list(iter_partitions(n))
+
+
+def binary_partitions(n: int) -> Iterator[Partition]:
+    """The partitions of n into powers of 2 in the order of partitions_of,
+    built part by part, so that none of the other partitions is made."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+
+    def tails(rest: int, top: int) -> Iterator[tuple[int, ...]]:
+        # the parts, each a power of 2 at most top, that make up rest
+        if top == 1:
+            yield (1,) * rest
+            return
+        for m in range(rest // top, -1, -1):
+            for tail in tails(rest - m * top, top >> 1):
+                yield (top,) * m + tail
+
+    return map(Partition, tails(n, 1 << max(n.bit_length() - 1, 0)))
 
 
 def z(lam: Partition) -> int:

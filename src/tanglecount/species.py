@@ -41,7 +41,10 @@ lam = 3 nu are the rooted passes over nu, with a power of 3 per part.
 
 No count goes through a series solve, and cycle_index loads only when a
 series is asked for.  closed_form_cycle_index reads either cycle index off
-r and u, the coefficient of p_lam being a_lam / z_lam.  The solved series
+r and u on their support alone, the coefficient of p_lam being
+a_lam / z_lam.  The unlabeled tree counts need no series either: the
+rooted ones are the chain of one tree, and unrooted_from_rooted takes the
+unrooted ones from them by Otter's dissymmetry step.  The solved series
 stay as the independent cross-check: the rooted cycle index solves
 Z = p_1 + h_2[Z] (a binary tree is a leaf or an unordered pair of binary
 trees), and the unrooted one is Z_U = h_3[Z] + p_1 Z + Z - Z^2 - p_1.
@@ -56,7 +59,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, NamedTuple
 
-from .partitions import Partition, is_binary_partition, iter_partitions, z
+from .partitions import Partition, binary_partitions, is_binary_partition, iter_partitions, z
 
 if TYPE_CHECKING:
     from .cycle_index import CycleIndexSeries
@@ -340,7 +343,8 @@ def u_direct(lam: Partition) -> int:
 def closed_form_cycle_index(N: int, unrooted: bool) -> CycleIndexSeries:
     """unrooted_tree_cycle_index(N) if unrooted, else binary_tree_cycle_index(N),
     with no solve: the coefficient of p_lam is u_direct(lam) / z_lam or
-    r_closed_form(lam) / z_lam, read on every lam |- n <= N."""
+    r_closed_form(lam) / z_lam, read on the support of each n <= N, the
+    binary lam |- n and, for U, the lam = 3 nu with nu binary."""
     from fractions import Fraction
 
     from .cycle_index import CycleIndexSeries
@@ -348,7 +352,11 @@ def closed_form_cycle_index(N: int, unrooted: bool) -> CycleIndexSeries:
     fixed = u_direct if unrooted else r_closed_form
     terms = {}
     for n in range(1, N + 1):
-        for lam in iter_partitions(n):
+        support = list(binary_partitions(n))
+        if unrooted and n % 3 == 0:
+            support += (Partition(tuple(3 * part for part in nu.parts))
+                        for nu in binary_partitions(n // 3))
+        for lam in support:
             a = fixed(lam)
             if a:
                 terms[lam] = Fraction(a, z(lam))
@@ -359,12 +367,12 @@ def closed_form_cycle_index(N: int, unrooted: bool) -> CycleIndexSeries:
 
 
 # Largest inputs the command line accepts on each path, so that no accepted
-# command runs for much more than a minute.  zindex and gf scan the p(n)
-# partitions of every n <= N, and zindex prints every term: at N = 40, 0.9 s
-# and 220 KB for U on a 2-core Xeon vCPU with CPython 3.11, and the scan
-# grows about 2.3-fold and the text 1.7-fold every 5 degrees.  counts is held
-# by the time model below alone (table_guard), with no fixed bound on n.
-SERIES_LIMIT = 40  # closed_form_cycle_index for zindex and gf
+# command runs for much more than a minute.  zindex prints every term of
+# closed_form_cycle_index, which reads only the support, so its text holds it
+# here: 220 KB for U at N = 40, 1.8 times as much as at N = 35.  counts, and
+# gf, which prints the table of chain(1), are held by the time model below
+# alone (table_guard), with no fixed bound on n.
+SERIES_LIMIT = 40  # zindex
 # count_table makes one _fixed_point_table pass per _pass_key of G's cycle
 # types, and a pass runs about max_n^2 steps of its inner loop.  Each step
 # has a fixed interpreter cost, the STEP_SECONDS * max_n^2 term, which is
@@ -742,6 +750,26 @@ def wedderburn_etherington(N: int) -> list[int]:
             s += a[n // 2]
         a[n] = _divide(s, 2, f"tree count at {n}")
     return a
+
+
+def unrooted_from_rooted(rooted: list[int]) -> list[int]:
+    """Counts of unlabeled unrooted binary trees by leaf number, from
+    rooted[n], those of rooted ones for n <= N (rooted[0] = 0), by Otter's
+    dissymmetry step on ordinary generating functions:
+
+      U = (R^3 + 3 R(x) R(x^2) + 2 R(x^3)) / 6 + x R + R - R^2 - x
+
+    Index n of the returned list is the coefficient of x^n, 0 for n <= 1."""
+    r = rooted
+    square = [sum(r[i] * r[n - i] for i in range(1, n)) for n in range(len(r))]
+    out = [0] * len(r)
+    for n in range(2, len(r)):
+        cube = sum(r[i] * square[n - i] for i in range(1, n - 1))
+        pairs = sum(r[n - 2 * i] * r[i] for i in range(1, (n + 1) // 2))
+        triples = r[n // 3] if n % 3 == 0 else 0
+        h3 = _divide(cube + 3 * pairs + 2 * triples, 6, f"unrooted tree count at {n}")
+        out[n] = h3 + r[n - 1] + r[n] - square[n]
+    return out
 
 
 def labeled_counts(n: int) -> tuple[int, int]:

@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import reference_parser, series
+from helpers import reference_parser
 from tanglecount import cli, oracle, species
 from tanglecount.cli import main
 from tanglecount.cycle_index import DegreeOutOfRange
@@ -413,19 +414,47 @@ class TestGf:
         assert code == 2
         assert "max-n" in err
 
+    def test_u_requires_max_n_two(self, capsys):
+        code, _, err = run(capsys, "gf", "U", "--max-n", "1")
+        assert code == 2
+        assert "max-n" in err
+
+    # gf is the count table of chain(1), under the guard of counts
     def test_guard(self, capsys):
-        code, _, err = run(capsys, "gf", "U", "--max-n", "200")
+        assert species.table_guard([species.chain(1)], 3000) is not None
+        code, _, err = run(capsys, "gf", "U", "--max-n", "3000")
         assert code == 2
         assert "guard" in err
 
+    def test_r_past_the_series_guard(self, capsys):
+        code, out, _ = run(capsys, "gf", "R", "--max-n", str(species.SERIES_LIMIT + 1))
+        assert code == 0
+        assert out.splitlines()[-1].startswith(f"R-unlabeled\t{species.SERIES_LIMIT + 1}\t")
+
+    def test_r_is_wedderburn_etherington_to_1000(self, capsys):
+        code, out, _ = run(capsys, "gf", "R", "--max-n", "1000")
+        assert code == 0
+        values = [int(line.split("\t")[2]) for line in out.splitlines()[1:]]
+        assert values == species.wedderburn_etherington(1000)[1:]
+
+    # the closed-form series reads u_direct on the support, a route that
+    # does not go through Otter's step
+    def test_u_is_the_closed_form_series_to_60(self, capsys):
+        code, out, _ = run(capsys, "gf", "U", "--max-n", "60")
+        assert code == 0
+        values = [int(line.split("\t")[2]) for line in out.splitlines()[1:]]
+        assert values == species.closed_form_cycle_index(60, True).unlabeled_gf()[2:]
+
     def test_non_integer_coefficient_is_internal_error(self, capsys, monkeypatch):
+        # an integral rooted table always gives an integral h3[R]; half a
+        # tree at n = 2 makes Otter's division by 6 inexact at n = 4
         monkeypatch.setattr(
-            species, "closed_form_cycle_index", lambda N, unrooted: series(N, ((2,), 1, 3))
+            species, "count_table", lambda family, max_n: [0, 1, Fraction(1, 2), 1, 1]
         )
-        code, out, err = run(capsys, "gf", "R", "--max-n", "2")
+        code, out, err = run(capsys, "gf", "U", "--max-n", "4")
         assert code == 1 and out == ""
         assert err.startswith(
-            "internal error: NonIntegerCount: R-unlabeled at n = 2 evaluated to non-integer 1/3"
+            "internal error: NonIntegerCount: unrooted tree count at 4 evaluated to non-integer 3/6"
         )
 
 
@@ -623,7 +652,7 @@ class TestCommandLine:
             (["counts", "--family", "rooted-ordered", "--family", "unrooted-ordered",
               "--max-n", "600"], "count_table"),
             (["zindex", "U", "--max-degree", "40"], "closed_form_cycle_index"),
-            (["gf", "U", "--max-n", "40"], "closed_form_cycle_index"),
+            (["gf", "U", "--max-n", "40"], "count_table"),
         ],
         ids=["counts", "zindex", "gf"],
     )
@@ -682,6 +711,10 @@ with redirect_stdout(io.StringIO()):
     code = tanglecount.cli.main(["counts", *families, "--k", "3", "--max-n", "30"])
 counted = sorted(set(sys.modules) - before)
 assert code == 0, code
+with redirect_stdout(io.StringIO()):
+    code = tanglecount.cli.main(["gf", "U", "--max-n", "12"])
+gf = sorted(set(sys.modules) - before)
+assert code == 0, code
 
 from tanglecount import p1, CycleIndexSeries
 assert isinstance(p1(3), CycleIndexSeries)
@@ -693,7 +726,8 @@ with redirect_stdout(io.StringIO()) as verify_out:
     verify = tanglecount.cli.main(["verify", "--max-n", "4"])
 with redirect_stdout(io.StringIO()) as zindex_out:
     zindex = tanglecount.cli.main(["zindex", "R", "--max-degree", "5"])
-print(repr((imported, counted, verify, verify_out.getvalue(), zindex, zindex_out.getvalue())))
+print(repr((imported, counted, gf, verify, verify_out.getvalue(), zindex,
+            zindex_out.getvalue())))
 """
 
 
@@ -720,13 +754,16 @@ class TestStartUp:
             [sys.executable, "-c", _START_UP_SCRIPT],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        imported, counted, verify, verify_out, zindex, zindex_out = ast.literal_eval(done.stdout)
+        imported, counted, gf, verify, verify_out, zindex, zindex_out = ast.literal_eval(
+            done.stdout
+        )
         assert "tanglecount.cli" in imported
         for unused in ("dataclasses", "inspect", "fractions", "decimal",
                        "tanglecount.cycle_index", "tanglecount.oracle",
                        "argparse", "gettext", "locale"):
             assert unused not in imported, unused
             assert unused not in counted, unused
+            assert unused not in gf, unused
         # the series route and the oracle still work once asked for
         assert verify == 0
         assert verify_out.splitlines() == [f"PASS {name}" for name in VERIFY_CHECKS]

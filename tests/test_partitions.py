@@ -7,7 +7,7 @@ import pytest
 
 import tanglecount
 from helpers import binary_partitions, from_vector
-from tanglecount import species
+from tanglecount import partitions, species
 from tanglecount.partitions import (
     Partition,
     is_binary_partition,
@@ -107,8 +107,8 @@ class TestPartitionsOf:
             partitions_of(-1)
 
     def test_cache_is_bounded_above_the_series_degrees(self):
-        # the series path asks for every size up to SERIES_LIMIT; partitions_of
-        # keeps no cache for them, and each call gives a list the caller owns
+        # partitions_of keeps no cache, even at the largest degree zindex
+        # accepts, and each call gives a list the caller owns
         assert not hasattr(partitions_of, "cache_info")
         first = partitions_of(species.SERIES_LIMIT)
         first.clear()
@@ -152,6 +152,20 @@ class TestBinaryPartitions:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             next(binary_partitions(-1))
+
+
+class TestBinaryPartitionWalk:
+    # the package's walk of the binary partitions, against the scan it
+    # replaced and against the multiplicity vectors of the helpers
+    def test_equals_the_filtered_scan_in_its_order(self):
+        for n in range(0, 31):
+            walked = list(partitions.binary_partitions(n))
+            assert walked == [lam for lam in partitions_of(n) if is_binary_partition(lam)], n
+            assert sorted(walked) == sorted(map(from_vector, binary_partitions(n))), n
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            partitions.binary_partitions(-1)
 
 
 class TestZ:

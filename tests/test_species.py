@@ -139,6 +139,15 @@ class TestClosedFormCycleIndex:
         for N in range(1 + unrooted, 21):
             assert species.closed_form_cycle_index(N, unrooted) == solved[N, unrooted], N
 
+    @pytest.mark.parametrize("unrooted", [False, True], ids=species.TREE_KINDS)
+    def test_reads_the_support_without_scanning_every_partition(self, unrooted, monkeypatch):
+        def forbidden(n):
+            raise AssertionError("scanned every partition")
+
+        solved = (unrooted_tree_cycle_index if unrooted else binary_tree_cycle_index)(12)
+        monkeypatch.setattr(species, "iter_partitions", forbidden)
+        assert species.closed_form_cycle_index(12, unrooted) == solved
+
 
 class TestRCoefficient:
     def test_examples(self):
