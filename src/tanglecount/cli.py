@@ -8,10 +8,10 @@ not import argparse, which with gettext and locale cost about 5 ms of every
 run's start-up.  `main` calls the `cmd_<command>` function of this module
 that is bound when it runs.
 
-Exit codes: 0 success or help, 1 verification failure, internal error or a
-stdout the reader closed, 2 usage error (a bad command line or an --output
-that cannot be opened) or guard (an input the command line refuses as too
-large to finish).
+Exit codes: 0 success or help, 1 verification failure, internal error, a
+write that failed (a full disk) or a stdout the reader closed, 2 usage
+error (a bad command line or an --output that cannot be opened) or guard
+(an input the command line refuses as too large to finish).
 """
 
 from __future__ import annotations
@@ -501,6 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     # default cap on int-to-str conversion is for parsing untrusted input
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    args = None
     try:
         args = parse(sys.argv[1:] if argv is None else argv)
         # looked up now, not bound at import, so that a rebound cmd_* is called
@@ -510,11 +511,16 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout; as the SIGPIPE note in the docs of
-        # Python's signal module advises, point stdout at devnull so that the
-        # flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # a write failed, the only I/O of a command: to --output or to stdout.
+        # As the SIGPIPE note in the docs of Python's signal module advises,
+        # a failed stdout is pointed at devnull, so that the flush at exit
+        # cannot fail again
+        output = getattr(args, "output", None)
+        if output is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed reader stops quietly
+            print(f"error: cannot write {output or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return 1
     except Exception as exc:
         import traceback  # only on this path: keeps it out of start-up time

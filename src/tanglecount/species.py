@@ -36,8 +36,9 @@ products over the parts of lam, as r is, and 3u = D + 3 half.  Each rule
 gives binary-partition passes of one running product, the same pass as
 r's with other factors, so no term is summed one lam at a time: the
 binary lam are the passes of D^2, D half and half^2 for mu = 1^2 and of
-D and half for mu = (2), each from the empty lam up, and the
-lam = 3 nu are the rooted passes over nu, with a power of 3 per part.
+D and half for mu = (2), each from the empty lam up, and the lam = 3 nu
+a rooted pass over nu, with a power of 3 per part, that _unrooted_table
+adds in: one table per pass key for either tree kind.
 
 No count goes through a series solve, and cycle_index loads only when a
 series is asked for.  closed_form_cycle_index reads either cycle index off
@@ -441,17 +442,13 @@ def _print_seconds(family: TanglegramFamily, max_n: int) -> float:
 
 def _pass_costs(family: TanglegramFamily, max_n: int) -> Iterator[tuple[int, float]]:
     """One (parts, seconds) per _pass_key of G's cycle types, in their
-    order: the parts of its mu and the modelled time of the passes that
-    count_table builds for it to max_n.  An unrooted key builds the parts
-    + 1 scalar passes of _unrooted_table, charged as one pass of parts + 1
-    parts, and a rotated pass to max_n // 3.  A mu of more parts than
-    PASS_PARTS_LIMIT ends the list before its key is taken."""
+    order: the parts of its mu and the modelled time of the table that
+    count_table builds for it to max_n.  An unrooted key's _unrooted_table
+    runs parts + 1 scalar passes, charged as one pass of parts + 1 parts,
+    and its rotated pass to max_n // 3."""
     keys: set[PassKey] = set()
     for mu in family.group_types():
         parts = len(mu)
-        if parts > PASS_PARTS_LIMIT:
-            yield parts, 0.0
-            return
         key = _pass_key(mu)
         if key in keys:
             continue
@@ -521,9 +518,8 @@ def _fixed_point_table(
 
     With rotated, each part of nu also carries 3^(p - 1), where p, the sum
     over the parts j of mu of 2^min(a, b) below, counts the parts it leaves
-    in all the nu^j together: the pass then holds the unrooted terms of the
-    lam = 3 nu (g = 1), as z_{3nu} = 3^l(nu) z_nu and
-    u_{3nu^j} = 3^(l(nu^j)-1) r_{nu^j} (see u_direct).
+    in all the nu^j together: _unrooted_table reads that pass (g = 1) for
+    the unrooted terms of the lam = 3 nu.
 
     The product vanishes unless every lam^j is binary, which holds exactly
     when each part of lam is e * 2^a with e dividing g, the odd part of
@@ -583,18 +579,21 @@ def _fixed_point_table(
 
 
 def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
-    """Index n >= 2 holds n! times the sum over the binary lam |- n of
+    """Index n >= 2 holds n! times the sum over lam |- n of
     prod over parts j of mu of (2n - 3) u_{lam^j}, divided by z_lam, for
     mu = 1^2 (valuations (0, 0)) or (2) (valuations (1,)).
 
-    U = 3u = D + 3 half, where D = 3 (u - half) and half are products over
-    the parts of lam (see u_direct), so a product of p alike U_{lam^j} is
-    the sum over i of C(p, i) 3^i D^(p-i) half^i: scalar passes of D^2,
-    D half and half^2 for 1^2, of D and half of lam^2 for (2).  From the
-    empty lam's 1 each pass gives D_lam, and -half_lam for every lam but
-    (1), where it gives 2 against half's 1: a part added at m = 1 has
-    half's factor 2m - 2 = 0, so that entry reaches no n >= 2, the only
-    entries read.
+    On the binary lam, U = 3u = D + 3 half, where D = 3 (u - half) and
+    half are products over the parts of lam (see u_direct), so a product of
+    p alike U_{lam^j} is the sum over i of C(p, i) 3^i D^(p-i) half^i:
+    scalar passes of D^2, D half and half^2 for 1^2, of D and half of lam^2
+    for (2).  From the empty lam's 1 each pass gives D_lam, and -half_lam
+    for every lam but (1), where it gives 2 against half's 1: a part added
+    at m = 1 has half's factor 2m - 2 = 0, so that entry reaches no n >= 2,
+    the only entries read.  The lam = 3 nu add n!/m! times the rotated pass
+    over nu |- m at n = 3m, as z_{3nu} = 3^l(nu) z_nu,
+    u_{3nu^j} = 3^(l(nu^j)-1) r_{nu^j} (see u_direct) and
+    2n - 3 = 3 (2m - 1) per part of mu.
     """
     parts = len(valuations)
     sums = [0] * (max_n + 1)
@@ -606,12 +605,15 @@ def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
     table = [0] * (max_n + 1)
     for n in range(2, max_n + 1):
         table[n] = _divide(sums[n], 3**parts, f"sum of u at {n}") * (2 * n - 3) ** parts
+    rotated = _fixed_point_table(1, valuations, max_n // 3, rotated=True)
+    for m in range(1, max_n // 3 + 1):
+        table[3 * m] += math.perm(3 * m, 2 * m) * rotated[m]
     return table
 
 
 # Bytes the pass store may hold, each table charged by _table_bytes: enough
 # that a counts run of the six families (k = 3) to n = 600 builds each of
-# its 9 passes once (a 2 MiB store rebuilt the 1^3 pass there, 1.0 s).  A
+# its 7 tables once (a 2 MiB store rebuilt the 1^3 pass there, 1.0 s).  A
 # pass grows about as n^2 log n bytes, and the rooted pass of 1^2 outgrows
 # the store past about n = 1260 (0.83 MiB at 600, 2.46 MiB at 1000), so
 # table_guard charges a pass that two families share to each of them.
@@ -631,9 +633,9 @@ def _table_bytes(table: tuple) -> int:
 
 
 class _PassStore:
-    """Every pass that count_table reads, by its key: (g, valuations,
-    rotated) for a _fixed_point_table pass, ("unrooted", valuations) for
-    the sum of the D and half passes of an _unrooted_table.
+    """Every table that count_table reads, one per pass key: (g, valuations)
+    for a _fixed_point_table pass, ("unrooted", valuations) for an
+    _unrooted_table, which sums its D, half and rotated passes.
     A pass depends on its key only, never on the family, and entry n is
     summed from smaller bases only, so a table built to the largest max_n
     asked for so far answers any smaller max_n by indexing; a larger max_n
@@ -675,12 +677,11 @@ def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
     n! |G| times the count is the sum over the cycle types mu of G, each
     weighted by its number of elements, of the sum over lam |- n of
     n!/z_lam times the product over the parts j of mu of a_{lam^j}, where
-    a is r or u.  Each _pass_key of the mu reads one pass over the binary
-    lam: _fixed_point_table for rooted trees, and for unrooted ones, a pair
-    of trees, _unrooted_table plus a rotated _fixed_point_table pass to
-    max_n/3 for the lam = 3 nu.  Every pass is read through the pass store
-    (_PassStore), so a pass that an earlier call built, for any family and
-    to at least max_n, is not built again.
+    a is r or u.  Each _pass_key of the mu reads one table:
+    _fixed_point_table for rooted trees, and for unrooted ones, a pair of
+    trees, _unrooted_table, which holds the lam = 3 nu too.  Every table is
+    read through the pass store (_PassStore), so a table that an earlier
+    call built, for any family and to at least max_n, is not built again.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -697,20 +698,10 @@ def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
         if unrooted:
             key, build = ("unrooted", valuations), partial(_unrooted_table, valuations)
         else:
-            key, build = (g, valuations, False), partial(_fixed_point_table, g, valuations)
+            key, build = (g, valuations), partial(_fixed_point_table, g, valuations)
         sums = _passes.get(key, max_n, build)
         for n in range(family.min_n, max_n + 1):
             totals[n] += weight * sums[n] * tops[n] ** (k - parts)
-        if not unrooted:
-            continue
-        # with z_{3nu} = 3^l(nu) z_nu and u_{3nu^j} = 3^(l(nu^j)-1) r_{nu^j},
-        # the rotated pass at m is m!/n! times the sum at n = 3m times
-        # (3 (2m - 1))^l(mu), and 3 (2m - 1) = tops[n]
-        build = partial(_fixed_point_table, g, valuations, rotated=True)
-        rotated = _passes.get((g, valuations, True), max_n // 3, build)
-        for m in range(1, max_n // 3 + 1):
-            n = 3 * m
-            totals[n] += weight * math.perm(n, 2 * m) * rotated[m] * tops[n] ** (k - parts)
     table = [0] * (max_n + 1)
     for n in range(family.min_n, max_n + 1):
         divisor = family.group_order * math.factorial(n) * tops[n] ** k

@@ -1,4 +1,5 @@
 import ast
+import errno
 import json
 import os
 import subprocess
@@ -693,6 +694,26 @@ class TestCommandLine:
         assert code == 1
         assert child.stderr.read() == b""
         child.stderr.close()
+
+    # a full disk, where /dev/full stands for one: a table that fits the
+    # stream's buffer and fails at the flush, and one that fails as written
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("max_n", ["5", "300"])
+    @pytest.mark.parametrize("where", ["stdout", "/dev/full"])
+    def test_failed_write_exits_one_without_traceback(self, where, max_n):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", "tanglecount.cli", "counts", "--family", "rooted-ordered",
+                "--max-n", max_n]
+        if where != "stdout":
+            argv += ["--output", where]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120
+            )
+        assert done.returncode == 1
+        # no traceback, and no "Exception ignored" from the flush at exit
+        assert done.stderr == f"error: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"
 
 
 # Runs in a fresh interpreter: diffs sys.modules around importing the CLI and

@@ -497,8 +497,8 @@ class TestCountTable:
                         fam.label, n)
 
     # the mu of chain-unordered(15) include (15), (5,5,5) and (3,3,3,3,3);
-    # the unrooted families read 1^2 and (2) unrooted and rotated, and the
-    # unrooted pass is checked against the leaf and no-leaf passes it replaced
+    # the unrooted families read 1^2 and (2), whose unrooted table is checked
+    # against the leaf and no-leaf passes it replaced plus the rotated pass
     @pytest.mark.parametrize(
         "mu, unrooted, rotated",
         [
@@ -522,8 +522,11 @@ class TestCountTable:
             # the small sizes hold the edges: the half passes' unread entry at
             # lam = (1), and n = 2, the first size the table fills
             for size in (0, 1, 2, 3, 4, n):
-                assert species._unrooted_table(valuations, size) == (
-                    reference_unrooted_table(valuations, size)), size
+                expected = reference_unrooted_table(valuations, size)
+                rotated = reference_fixed_point_table(1, valuations, size // 3, rotated=True)
+                for m in range(1, size // 3 + 1):
+                    expected[3 * m] += math.perm(3 * m, 2 * m) * rotated[m]
+                assert species._unrooted_table(valuations, size) == expected, size
         else:
             assert species._fixed_point_table(g, valuations, n, rotated) == (
                 reference_fixed_point_table(g, valuations, n, rotated=rotated))
@@ -593,6 +596,16 @@ class TestCountTable:
         for n in range(2, 31):
             assert ordered[n] == unrooted_support_sum(n, False), n
             assert unordered[n] == unrooted_support_sum(n, True), n
+
+    def test_unrooted_pass_of_one_tree_is_otters_step(self):
+        # valuations (0,) are mu = (1): n! (2n - 3) times the unlabeled
+        # unrooted trees, which Otter's step takes from the rooted ones by
+        # another route, the lam = 3 nu its R(x^3) term
+        N = 300
+        table = species._unrooted_table((0,), N)
+        otter = species.unrooted_from_rooted(count_table(chain(1), N))
+        for n in range(2, N + 1):
+            assert table[n] == math.factorial(n) * (2 * n - 3) * otter[n], n
 
     def test_unrooted_involution_bounds_at_60(self):
         ordered = count_table(UNROOTED_ORDERED, 60)
@@ -738,9 +751,28 @@ class TestPassStore:
         unrooted = {("unrooted", (0, 0)), ("unrooted", (1,))}
         assert unrooted <= set(stored) and len(stored) > 10
         for key, (max_n, table, size) in stored.items():
-            assert key in unrooted or isinstance(key[2], bool)
+            # (g, valuations) or ("unrooted", valuations): no rotated flag
+            assert len(key) == 2 and not any(isinstance(part, bool) for part in key)
             assert isinstance(table, tuple) and size == species._table_bytes(table)
             assert all(type(entry) is int for entry in table)
+
+    def test_six_families_build_one_table_per_pass_key(self, monkeypatch):
+        store = species._passes
+        builds = []
+        get = store.get
+
+        def counted(key, max_n, build):
+            return get(key, max_n, lambda top: builds.append(key) or build(top))
+
+        monkeypatch.setattr(store, "get", counted)
+        for fam in (*FOUR_KINDS, chain(3), chain_unordered(3)):
+            count_table(fam, 30)
+        # S_2 and S_3 of rooted trees, 1^2, (2), 1^3, (2, 1) and (3), and
+        # the unrooted 1^2 and (2), each built once
+        assert sorted(builds, key=repr) == [
+            ("unrooted", (0, 0)), ("unrooted", (1,)),
+            (1, (0, 0)), (1, (0, 0, 0)), (1, (0, 1)), (1, (1,)), (3, (0,)),
+        ]
 
     def test_held_bytes_within_budget(self):
         count_table(chain_unordered(20), 100)
