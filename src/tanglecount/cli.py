@@ -209,28 +209,25 @@ def cmd_verify(args: SimpleNamespace) -> int:
             )
             report(f"{species.TREE_KINDS[unrooted]}-enumeration-count", ok)
 
-    # fixed points of every cycle type against the series coefficients
+    # the series coefficient of every cycle type, read once, against the
+    # oracle's fixed points and against the closed form; each check names the
+    # first cycle type where it fails
     zr = binary_tree_cycle_index(max_n)
-    ok = True
-    first_bad = ""
-    for n in range(1, max_n + 1):
-        fixes = oracle.fixed_counts(n, False)
+    fix_bad = closed_bad = ""
+    for n in range(max_n + 1):
+        fixes = oracle.fixed_counts(n, False) if n else {}
         for lam in partitions_of(n):
-            if fixes[lam] != species.r_coefficient(lam, zr):
-                ok = False
-                first_bad = f"cycle type {lam}"
-                break
-    report("fix-count-vs-cycle-index", ok, first_bad)
+            r = species.r_coefficient(lam, zr)
+            if n and not fix_bad and fixes[lam] != r:
+                fix_bad = f"cycle type {lam}"
+            if not closed_bad and species.r_closed_form(lam) != r:
+                closed_bad = f"cycle type {lam}"
+    report("fix-count-vs-cycle-index", not fix_bad, fix_bad)
+    report("closed-form-vs-solver", not closed_bad, closed_bad)
 
-    # closed form against the fixed-point solver
-    ok = all(
-        species.r_closed_form(lam) == species.r_coefficient(lam, zr)
-        for n in range(0, max_n + 1)
-        for lam in partitions_of(n)
-    )
-    report("closed-form-vs-solver", ok)
-
-    # Burnside orbit counts against the symbolic counts, per family
+    # Burnside orbit counts against count_table, per family; no series takes
+    # part, but the check keeps the name "burnside-vs-series" that the
+    # benchmark's reference output pins
     families = [
         ROOTED_ORDERED,
         ROOTED_UNORDERED,

@@ -493,15 +493,17 @@ def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
     return None
 
 
-def _r_factor(m: int, size: int) -> int:
-    return 2 * (m + size) - 1  # r's product formula: 2 (size after the piece) - 1
+# The factor that a part multiplies in as it joins a lam of size m, the
+# parts read from the smallest up
+def _r_factor(m: int) -> int:
+    return max(2 * m - 1, 1)  # r's product formula: 1 for the first part
 
 
-def _d_factor(m: int, size: int) -> int:
+def _d_factor(m: int) -> int:
     return 2 * m - 3  # d' = (2m - 3) d, d = u - half (see u_direct)
 
 
-def _half_factor(m: int, size: int) -> int:
+def _half_factor(m: int) -> int:
     return 2 * m - 2  # half' = 2 (m - 1) half
 
 
@@ -513,8 +515,8 @@ def _fixed_point_table(
     factors: tuple | None = None,
 ) -> list[int]:
     """Index n holds n! times the sum over lam |- n of
-    prod over parts j of mu of (2n-1) * r_{lam^j}, divided by z_lam, for any
-    mu with _pass_key(mu) = (g, valuations).
+    prod over parts j of mu of r_{lam^j}, divided by z_lam, for any mu with
+    _pass_key(mu) = (g, valuations); index 0 holds the empty lam's 1.
 
     With rotated, each part of nu also carries 3^(p - 1), where p, the sum
     over the parts j of mu of 2^min(a, b) below, counts the parts it leaves
@@ -531,9 +533,8 @@ def _fixed_point_table(
 
     Under j = 2^b * o a part 2^a of nu splits into 2^c parts of size
     2^(a-c), c = min(a, b), so only b matters.  Built from the smallest part
-    up, each piece gets a factor of the running size m below it: r's
-    product formula gives 2 (m + size) - 1, and the largest piece's factor
-    is the extra 2n - 1 per part of mu.  factors, one per part of mu in the
+    up, each piece gets a factor of the running size m below it, r's
+    product formula's max(2m - 1, 1).  factors, one per part of mu in the
     order of valuations, replace r's: _unrooted_table's passes.
     """
     odd_lengths = [e for e in range(1, g + 1, 2) if g % e == 0]
@@ -551,7 +552,7 @@ def _fixed_point_table(
                 size = s >> c
                 split = 1
                 for i in range(1 << c):
-                    split *= f(t + i * size, size)
+                    split *= f(t + i * size)
                 factor *= split**times
             pieces.append(factor)
         # the cycles of lam of length e*s, one odd e | g after another: the
@@ -580,8 +581,8 @@ def _fixed_point_table(
 
 def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
     """Index n >= 2 holds n! times the sum over lam |- n of
-    prod over parts j of mu of (2n - 3) u_{lam^j}, divided by z_lam, for
-    mu = 1^2 (valuations (0, 0)) or (2) (valuations (1,)).
+    prod over parts j of mu of u_{lam^j}, divided by z_lam, for mu = 1^2
+    (valuations (0, 0)) or (2) (valuations (1,)); indices 0 and 1 hold 0.
 
     On the binary lam, U = 3u = D + 3 half, where D = 3 (u - half) and
     half are products over the parts of lam (see u_direct), so a product of
@@ -591,9 +592,9 @@ def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
     for every lam but (1), where it gives 2 against half's 1: a part added
     at m = 1 has half's factor 2m - 2 = 0, so that entry reaches no n >= 2,
     the only entries read.  The lam = 3 nu add n!/m! times the rotated pass
-    over nu |- m at n = 3m, as z_{3nu} = 3^l(nu) z_nu,
-    u_{3nu^j} = 3^(l(nu^j)-1) r_{nu^j} (see u_direct) and
-    2n - 3 = 3 (2m - 1) per part of mu.
+    over nu |- m to 3^p times the sum at n = 3m, as z_{3nu} = 3^l(nu) z_nu
+    and u_{3nu^j} = 3^(l(nu^j)-1) r_{nu^j} (see u_direct), so one exact
+    division by 3^p ends the table.
     """
     parts = len(valuations)
     sums = [0] * (max_n + 1)
@@ -602,12 +603,12 @@ def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
         weight = math.comb(parts, i) * (-3) ** i
         for n, x in enumerate(_fixed_point_table(1, valuations, max_n, factors=factors)):
             sums[n] += weight * x
-    table = [0] * (max_n + 1)
-    for n in range(2, max_n + 1):
-        table[n] = _divide(sums[n], 3**parts, f"sum of u at {n}") * (2 * n - 3) ** parts
     rotated = _fixed_point_table(1, valuations, max_n // 3, rotated=True)
     for m in range(1, max_n // 3 + 1):
-        table[3 * m] += math.perm(3 * m, 2 * m) * rotated[m]
+        sums[3 * m] += math.perm(3 * m, 2 * m) * rotated[m]
+    table = [0] * (max_n + 1)
+    for n in range(2, max_n + 1):
+        table[n] = _divide(sums[n], 3**parts, f"sum of u at {n}")
     return table
 
 
@@ -677,34 +678,30 @@ def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
     n! |G| times the count is the sum over the cycle types mu of G, each
     weighted by its number of elements, of the sum over lam |- n of
     n!/z_lam times the product over the parts j of mu of a_{lam^j}, where
-    a is r or u.  Each _pass_key of the mu reads one table:
-    _fixed_point_table for rooted trees, and for unrooted ones, a pair of
-    trees, _unrooted_table, which holds the lam = 3 nu too.  Every table is
+    a is r or u.  Each _pass_key of the mu reads one table that holds that
+    sum for each n: _fixed_point_table for rooted trees, and for unrooted
+    ones, a pair of trees, _unrooted_table, which holds the lam = 3 nu too.
+    So the weighted total divides by |G| n! alone.  Every table is
     read through the pass store (_PassStore), so a table that an earlier
     call built, for any family and to at least max_n, is not built again.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    unrooted = family.unrooted
-    k = family.trees
     passes: Counter[PassKey] = Counter()
     for mu in family.group_types():
         passes[_pass_key(mu)] += family.group_elements(mu)
-    # each pass carries 2n - 1 per part of mu, 2n - 3 for unrooted trees
-    tops = [2 * n - 1 - 2 * unrooted for n in range(max_n + 1)]
     totals = [0] * (max_n + 1)
     for (g, valuations), weight in passes.items():
-        parts = len(valuations)
-        if unrooted:
+        if family.unrooted:
             key, build = ("unrooted", valuations), partial(_unrooted_table, valuations)
         else:
             key, build = (g, valuations), partial(_fixed_point_table, g, valuations)
         sums = _passes.get(key, max_n, build)
         for n in range(family.min_n, max_n + 1):
-            totals[n] += weight * sums[n] * tops[n] ** (k - parts)
+            totals[n] += weight * sums[n]
     table = [0] * (max_n + 1)
     for n in range(family.min_n, max_n + 1):
-        divisor = family.group_order * math.factorial(n) * tops[n] ** k
+        divisor = family.group_order * math.factorial(n)
         table[n] = _divide(totals[n], divisor, family.label)
     return table
 

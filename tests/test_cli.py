@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import reference_parser
-from tanglecount import cli, oracle, species
+from tanglecount import Partition, cli, oracle, partitions_of, species
 from tanglecount.cli import main
 from tanglecount.cycle_index import DegreeOutOfRange
 
@@ -521,6 +522,25 @@ class TestVerify:
             + [("enumerate_unrooted", n) for n in range(2, 6)]
         )
         assert out.splitlines() == [f"PASS {name}" for name in VERIFY_CHECKS]
+
+    def test_fail_lines_name_the_first_bad_cycle_type(self, capsys, monkeypatch):
+        calls = []
+        coefficient = species.r_coefficient
+        wrong = {Partition((1,) * 3), Partition((1,) * 5)}
+
+        def off(lam, zr):
+            calls.append(lam)
+            return coefficient(lam, zr) + (lam in wrong)
+
+        monkeypatch.setattr(species, "r_coefficient", off)
+        code, out, _ = run(capsys, "verify", "--max-n", "6")
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL fix-count-vs-cycle-index: cycle type [1,1,1]" in lines
+        assert "FAIL closed-form-vs-solver: cycle type [1,1,1]" in lines
+        assert sum(line.startswith("FAIL") for line in lines) == 2
+        # one read per cycle type of every n <= 6, the empty one included
+        assert Counter(calls) == Counter(lam for n in range(7) for lam in partitions_of(n))
 
     def test_guard_violation_exits_two(self, capsys):
         for max_n in (oracle.ORACLE_LIMIT + 1, 99):

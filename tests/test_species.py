@@ -498,7 +498,9 @@ class TestCountTable:
 
     # the mu of chain-unordered(15) include (15), (5,5,5) and (3,3,3,3,3);
     # the unrooted families read 1^2 and (2), whose unrooted table is checked
-    # against the leaf and no-leaf passes it replaced plus the rotated pass
+    # against the leaf and no-leaf passes it replaced plus the rotated pass.
+    # The reference tables carry 2n - 1 per part of mu, 2n - 3 for unrooted
+    # trees, which the pass tables leave out
     @pytest.mark.parametrize(
         "mu, unrooted, rotated",
         [
@@ -517,6 +519,7 @@ class TestCountTable:
     )
     def test_pass_matches_four_factor_reference(self, mu, unrooted, rotated):
         g, valuations = species._pass_key(Partition(mu))
+        parts = len(valuations)
         n = 150 if len(mu) > 3 else 200
         if unrooted:
             # the small sizes hold the edges: the half passes' unread entry at
@@ -526,10 +529,42 @@ class TestCountTable:
                 rotated = reference_fixed_point_table(1, valuations, size // 3, rotated=True)
                 for m in range(1, size // 3 + 1):
                     expected[3 * m] += math.perm(3 * m, 2 * m) * rotated[m]
-                assert species._unrooted_table(valuations, size) == expected, size
+                table = species._unrooted_table(valuations, size)
+                assert len(table) == len(expected), size
+                for m, x in enumerate(table):
+                    assert x * (2 * m - 3) ** parts == expected[m], (size, m)
         else:
-            assert species._fixed_point_table(g, valuations, n, rotated) == (
-                reference_fixed_point_table(g, valuations, n, rotated=rotated))
+            table = species._fixed_point_table(g, valuations, n, rotated)
+            expected = reference_fixed_point_table(g, valuations, n, rotated=rotated)
+            assert len(table) == len(expected)
+            assert table[0] == expected[0] == 1
+            for m in range(1, n + 1):
+                assert table[m] * (2 * m - 1) ** parts == expected[m], m
+
+    # every table holds n! times the sum over all lam |- n of the product
+    # over the parts j of mu of a_{lam^j}, divided by z_lam, and nothing else
+    @pytest.mark.parametrize(
+        "mu", [(1, 1), (2,), (1, 1, 1), (2, 1), (3,), (4, 2), (3, 3)],
+        ids=lambda mu: ",".join(map(str, mu)),
+    )
+    def test_pass_table_is_the_sum_over_all_cycle_types(self, mu):
+        N = 14
+        mu = P(mu)
+
+        def expected(n, fixed):
+            return sum(
+                math.factorial(n) // z(lam) * math.prod(fixed(power_type(lam, j)) for j in mu.parts)
+                for lam in partitions_of(n)
+            )
+
+        table = species._fixed_point_table(*species._pass_key(mu), N)
+        assert table[0] == 1  # the empty lam, where r_closed_form gives 0
+        for n in range(1, N + 1):
+            assert table[n] == expected(n, r_closed_form), n
+        if mu in (P((1, 1)), P((2,))):
+            table = species._unrooted_table(species._pass_key(mu)[1], N)
+            for n in range(N + 1):
+                assert table[n] == expected(n, u_direct), n
 
     def test_single_tree_is_wedderburn_etherington_at_200(self):
         wet = wedderburn_etherington(200)
@@ -598,14 +633,14 @@ class TestCountTable:
             assert unordered[n] == unrooted_support_sum(n, True), n
 
     def test_unrooted_pass_of_one_tree_is_otters_step(self):
-        # valuations (0,) are mu = (1): n! (2n - 3) times the unlabeled
-        # unrooted trees, which Otter's step takes from the rooted ones by
-        # another route, the lam = 3 nu its R(x^3) term
+        # valuations (0,) are mu = (1): n! times the unlabeled unrooted
+        # trees, which Otter's step takes from the rooted ones by another
+        # route, the lam = 3 nu its R(x^3) term
         N = 300
         table = species._unrooted_table((0,), N)
         otter = species.unrooted_from_rooted(count_table(chain(1), N))
         for n in range(2, N + 1):
-            assert table[n] == math.factorial(n) * (2 * n - 3) * otter[n], n
+            assert table[n] == math.factorial(n) * otter[n], n
 
     def test_unrooted_involution_bounds_at_60(self):
         ordered = count_table(UNROOTED_ORDERED, 60)
