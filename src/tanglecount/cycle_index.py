@@ -13,8 +13,8 @@ kronecker(), and multiset powers E_n{G} are inner_plethysm_hn().
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .partitions import EMPTY, Partition, partitions_of, power_type, union, z
 

@@ -791,8 +791,10 @@ class TestStartUp:
     def test_counts_loads_no_series_or_dataclasses(self):
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
+        # -S: a site .pth that imports modules (typing, re, ...) at start-up
+        # would hide them from the sys.modules diff
         done = subprocess.run(
-            [sys.executable, "-c", _START_UP_SCRIPT],
+            [sys.executable, "-S", "-c", _START_UP_SCRIPT],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         imported, counted, gf, verify, verify_out, zindex, zindex_out = ast.literal_eval(
@@ -801,7 +803,7 @@ class TestStartUp:
         assert "tanglecount.cli" in imported
         for unused in ("dataclasses", "inspect", "fractions", "decimal",
                        "tanglecount.cycle_index", "tanglecount.oracle",
-                       "argparse", "gettext", "locale"):
+                       "argparse", "gettext", "locale", "typing", "re", "enum"):
             assert unused not in imported, unused
             assert unused not in counted, unused
             assert unused not in gf, unused
