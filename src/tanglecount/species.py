@@ -61,6 +61,11 @@ from functools import lru_cache, partial
 
 from .partitions import Partition, binary_partitions, is_binary_partition, iter_partitions, z
 
+# CycleIndexSeries in the annotations below is cycle_index.CycleIndexSeries,
+# imported only inside the functions that make one (cycle_index loads
+# fractions).  The annotations are documentation only: they stay strings,
+# and typing.get_type_hints on those functions raises NameError.
+
 
 class NonIntegerCount(ArithmeticError):
     """A count that must be a nonnegative integer is not; signals an
@@ -637,7 +642,7 @@ class _PassStore:
     A pass depends on its key only, never on the family, and entry n is
     summed from smaller bases only, so a table built to the largest max_n
     asked for so far answers any smaller max_n by indexing; a larger max_n
-    rebuilds it to max_n or a quarter past the size held, if further.
+    rebuilds it.
 
     The tables are tuples, so that no caller can change them.  The store
     holds them to PASS_STORE_BYTES by dropping the least recently used, and
@@ -648,14 +653,13 @@ class _PassStore:
         self.held = 0
 
     def get(self, key, max_n: int, build) -> tuple:
-        """The table of key to at least max_n, built if needed."""
+        """The table of key to at least max_n, from build(max_n) if needed."""
         entry = self.tables.pop(key, None)
         if entry is not None:
             if entry[0] >= max_n:
                 self.tables[key] = entry
                 return entry[1]
             self.held -= entry[2]
-            max_n = max(max_n, entry[0] + (entry[0] + 3) // 4)
         table = tuple(build(max_n))
         size = _table_bytes(table)
         if size <= PASS_STORE_BYTES:
@@ -707,9 +711,9 @@ def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
 def count(family: TanglegramFamily, n: int) -> int:
     """Number of unlabeled structures of the family with n leaves:
     count_table(family, n)[n].  Every family and every call shares one
-    store of passes (_PassStore), so a rising run of count calls to n
-    builds each pass O(log n) times; the store keeps at most
-    PASS_STORE_BYTES, dropping the least recently used passes."""
+    store of passes, each built once to the largest n asked for so far, so
+    a run of count calls builds no pass twice below that n; the store keeps
+    at most PASS_STORE_BYTES, dropping the least recently used passes."""
     if n < family.min_n:
         raise ValueError(f"{family.label} requires n >= {family.min_n}, got {n}")
     return count_table(family, n)[n]

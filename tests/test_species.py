@@ -809,22 +809,6 @@ class TestPassStore:
             (1, (0, 0)), (1, (0, 0, 0)), (1, (0, 1)), (1, (1,)), (3, (0,)),
         ]
 
-    def test_rising_count_builds_each_key_few_times(self, monkeypatch):
-        store = species._passes
-        builds = Counter()
-        get = store.get
-
-        def counted(key, max_n, build):
-            return get(key, max_n, lambda top: builds.update([key]) or build(top))
-
-        monkeypatch.setattr(store, "get", counted)
-        for fam in (ROOTED_ORDERED, UNROOTED_UNORDERED):
-            rows = [count(fam, n) for n in range(fam.min_n, 201)]
-            assert rows == count_table(fam, 200)[fam.min_n:]
-        # each rebuild reaches a quarter past the size held: about 20
-        # builds per key to 200, not one per n
-        assert len(builds) == 3 and max(builds.values()) <= 25
-
     def test_held_bytes_within_budget(self):
         count_table(chain_unordered(20), 100)
         store = species._passes
