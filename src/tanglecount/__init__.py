@@ -41,6 +41,7 @@ from .species import (
     chain_unordered,
     count,
     count_table,
+    count_tables,
     labeled_counts,
     r_closed_form,
     r_coefficient,
@@ -109,6 +110,7 @@ __all__ = [
     "chain_unordered",
     "count",
     "count_table",
+    "count_tables",
     "enumerate_rooted",
     "enumerate_unrooted",
     "fix_count",

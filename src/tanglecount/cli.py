@@ -129,8 +129,7 @@ def cmd_counts(args: SimpleNamespace) -> int:
 
     def render() -> str:
         rows: Rows = []
-        for fam in families:
-            table = species.count_table(fam, max_n)
+        for fam, table in zip(families, species.count_tables(families, max_n)):
             rows.extend((fam.label, n, table[n]) for n in range(fam.min_n, max_n + 1))
         return _RENDERERS[args.format](rows)
 
@@ -225,8 +224,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
     report("fix-count-vs-cycle-index", not fix_bad, fix_bad)
     report("closed-form-vs-solver", not closed_bad, closed_bad)
 
-    # Burnside orbit counts against count_table, per family; no series takes
-    # part, but the check keeps the name "burnside-vs-series" that the
+    # Burnside orbit counts against the count tables, per family; no series
+    # takes part, but the check keeps the name "burnside-vs-series" that the
     # benchmark's reference output pins
     families = [
         ROOTED_ORDERED,
@@ -236,8 +235,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
         UNROOTED_ORDERED,
         UNROOTED_UNORDERED,
     ]
-    for fam in families:
-        table = species.count_table(fam, max_n)
+    for fam, table in zip(families, species.count_tables(families, max_n)):
         ok = True
         first_bad = ""
         for n in range(fam.min_n, max_n + 1):

@@ -21,8 +21,9 @@ number of elements of each.  The six families of FAMILY_KINDS are
   unrooted unordered   unrooted trees, S_2
 
 r_lam has a product formula (r_closed_form) and vanishes unless every
-part of lam is a power of 2, so count_table sums over binary partitions,
-one pass per group of the mu that need the same pass.
+part of lam is a power of 2, so count_tables sums over binary partitions,
+one pass per group of the mu that need the same pass (_store_key), built
+once for all the families of one call.
 
 u_lam vanishes unless lam is binary or 3 times a binary partition (and
 lam^2 lies in that support only when lam does), and on that support it
@@ -376,15 +377,15 @@ def closed_form_cycle_index(N: int, unrooted: bool) -> CycleIndexSeries:
 # gf, which prints the table of chain(1), are held by the time model below
 # alone (table_guard), with no fixed bound on n.
 SERIES_LIMIT = 40  # zindex
-# count_table makes one _fixed_point_table pass per _pass_key of G's cycle
-# types, and a pass runs about max_n^2 steps of its inner loop.  Each step
-# has a fixed interpreter cost, the STEP_SECONDS * max_n^2 term, which is
+# count_tables builds one table per store key of its families' cycle types
+# (_store_key), and a pass runs about max_n^2 steps of its inner loop.  Each
+# step has a fixed interpreter cost, the STEP_SECONDS * max_n^2 term, which is
 # most of the time of S_k's hundreds of passes with few parts at moderate n.
 # Each step also adds to, divides and multiplies by small numbers the
 # carried product, about (1 + p) n log n bits for a mu of p parts, the
 # PASS_SECONDS * (1 + p) term, and multiplies it by a block of about p log n
 # bits, the PART_SECONDS * p^1.75 term; max_n^3.2 stands in for max_n^3 log
-# max_n.  _pass_costs charges the unrooted passes too.  The constants fit
+# max_n.  _key_pass charges the unrooted passes too.  The constants fit
 # the 22 rows of test_pass_model_within_15_percent, all timed on one host:
 # 13 rooted and 2 unrooted tables to n <= 600, and 7 tables to n = 1000 and
 # 1500.  Past 1500 the model overestimates (rooted-ordered to 2000 took
@@ -442,36 +443,64 @@ def _print_seconds(family: TanglegramFamily, max_n: int) -> float:
     return PRINT_SECONDS * digits2
 
 
-def _pass_costs(family: TanglegramFamily, max_n: int) -> Iterator[tuple[int, float]]:
-    """One (parts, seconds) per _pass_key of G's cycle types, in their
-    order: the parts of its mu and the modelled time of the table that
-    count_table builds for it to max_n.  An unrooted key's _unrooted_table
-    runs parts + 1 scalar passes, charged as one pass of parts + 1 parts,
-    and its rotated pass to max_n // 3."""
-    keys: set[PassKey] = set()
-    for mu in family.group_types():
-        parts = len(mu)
-        key = _pass_key(mu)
-        if key in keys:
-            continue
-        keys.add(key)
-        if family.unrooted:
-            yield parts, _pass_seconds(parts + 1, max_n) + _pass_seconds(parts, max_n // 3)
-        else:
-            yield parts, _pass_seconds(parts, max_n)
+def _store_key(family: TanglegramFamily, mu: Partition) -> tuple:
+    """The key of the stored table that the family reads for its cycle type
+    mu: _pass_key(mu) on rooted trees, ("unrooted", valuations) on unrooted
+    ones.  _unrooted_table expands a product of alike u_{lam^j}, so it holds
+    only the keys with g = 1 and all valuations equal; any other unrooted
+    key raises ValueError."""
+    g, valuations = _pass_key(mu)
+    if not family.unrooted:
+        return g, valuations
+    if g != 1 or len(set(valuations)) > 1:
+        raise ValueError(f"{family.label} reads the unrooted pass key {(g, valuations)}, "
+                         "which has no table: only g = 1 with equal valuations")
+    return "unrooted", valuations
+
+
+def _key_pass(key: tuple, max_n: int) -> tuple:
+    """(build, seconds) of a store key: the function that builds its table
+    to the max_n it is called with, and the modelled time of building it to
+    max_n.  An unrooted key's _unrooted_table runs parts + 1 scalar passes,
+    charged as one pass of parts + 1 parts, and its rotated pass to
+    max_n // 3."""
+    tag, valuations = key
+    parts = len(valuations)
+    if tag == "unrooted":
+        seconds = _pass_seconds(parts + 1, max_n) + _pass_seconds(parts, max_n // 3)
+        return partial(_unrooted_table, valuations), seconds
+    return partial(_fixed_point_table, tag, valuations), _pass_seconds(parts, max_n)
+
+
+def _pass_costs(families: list[TanglegramFamily], max_n: int) -> Iterator[tuple[int, float]]:
+    """One (parts, seconds) per store key that each family reads, in the
+    order count_tables first reads them: the parts of the key's mu, and the
+    modelled time of building its table to max_n, or 0 for a key an earlier
+    family reads too, since count_tables builds each key once."""
+    keys: set = set()
+    for family in families:
+        read = set()
+        for mu in family.group_types():
+            key = _store_key(family, mu)
+            if key in read:
+                continue
+            read.add(key)
+            yield len(mu), 0.0 if key in keys else _key_pass(key, max_n)[1]
+            keys.add(key)
 
 
 def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
     """Why the command line refuses one counts command, every family of it
     to max_n, or None.
 
-    The guard sums over the families the modelled time of printing and of
-    the passes (_pass_costs; a pass two families share is charged to each),
-    and the passes' parts.  An n whose step term alone passes the budget,
-    by an exact integer comparison, and a k over PASS_PARTS_LIMIT are
-    refused first, so that no input is too large to refuse at once.  The
-    types of G are listed one at a time and the sums checked after each new
-    pass key, so that a large k is refused without k! or the p(k) types.
+    The guard sums over the families the modelled time of printing, and of
+    the passes that count_tables builds, each store key once (_pass_costs).
+    Each family's listing reads its own keys, so their parts are summed per
+    family.  An n whose step term alone passes the budget, by an exact
+    integer comparison, and a k over PASS_PARTS_LIMIT are refused first, so
+    that no input is too large to refuse at once.  The types of G are
+    listed one at a time and the sums checked after each new pass key, so
+    that a large k is refused without k! or the p(k) types.
     """
     too_slow = (
         f"the passes and printing would take over {PASS_SECONDS_LIMIT:g} s, "
@@ -480,18 +509,18 @@ def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
     too_many = f"the passes would have more than {PASS_PARTS_LIMIT} parts, over the pass guard"
     if max_n**2 > PASS_SECONDS_LIMIT / STEP_SECONDS:
         return too_slow
-    parts, seconds = 0, 0.0
-    for family in families:
-        if family.trees > PASS_PARTS_LIMIT:
+    families = list(families)
+    if any(family.trees > PASS_PARTS_LIMIT for family in families):
+        return too_many
+    seconds = sum(_print_seconds(family, max_n) for family in families)
+    parts = 0
+    for pass_parts, pass_seconds in _pass_costs(families, max_n):
+        parts += pass_parts
+        if parts > PASS_PARTS_LIMIT:
             return too_many
-        seconds += _print_seconds(family, max_n)
-        for pass_parts, pass_seconds in _pass_costs(family, max_n):
-            parts += pass_parts
-            if parts > PASS_PARTS_LIMIT:
-                return too_many
-            seconds += pass_seconds
-            if seconds > PASS_SECONDS_LIMIT:
-                return too_slow
+        seconds += pass_seconds
+        if seconds > PASS_SECONDS_LIMIT:
+            return too_slow
     return None
 
 
@@ -614,12 +643,12 @@ def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
     return table
 
 
-# Bytes the pass store may hold, each table charged by _table_bytes: enough
-# that a counts run of the six families (k = 3) to n = 600 builds each of
-# its 7 tables once (a 2 MiB store rebuilt the 1^3 pass there, 1.0 s).  A
-# pass grows about as n^2 log n bytes, and the rooted pass of 1^2 outgrows
-# the store past about n = 1260 (0.83 MiB at 600, 2.46 MiB at 1000), so
-# table_guard charges a pass that two families share to each of them.
+# Bytes the pass store may hold, each table charged by _table_bytes.  One
+# count_tables call builds each of its keys once whatever the store holds,
+# so the store serves only repeated library calls, count and count_table
+# over rising or repeated n.  A pass grows about as n^2 log n bytes, and the
+# rooted pass of 1^2 outgrows the store past about n = 1260 (0.83 MiB at
+# 600, 2.46 MiB at 1000).
 PASS_STORE_BYTES = 4 << 20
 
 
@@ -636,9 +665,9 @@ def _table_bytes(table: tuple) -> int:
 
 
 class _PassStore:
-    """Every table that count_table reads, one per pass key: (g, valuations)
-    for a _fixed_point_table pass, ("unrooted", valuations) for an
-    _unrooted_table, which sums its D, half and rotated passes.
+    """Every table that count_tables reads, one per store key (_store_key):
+    (g, valuations) for a _fixed_point_table pass, ("unrooted", valuations)
+    for an _unrooted_table, which sums its D, half and rotated passes.
     A pass depends on its key only, never on the family, and entry n is
     summed from smaller bases only, so a table built to the largest max_n
     asked for so far answers any smaller max_n by indexing; a larger max_n
@@ -673,39 +702,54 @@ class _PassStore:
 _passes = _PassStore()
 
 
-def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
-    """Counts of the family for every n <= max_n: index n holds the count
-    with n leaves, and the sizes below family.min_n hold 0.
+def count_tables(families: Iterable[TanglegramFamily], max_n: int) -> list[list[int]]:
+    """Counts of each family for every n <= max_n, one list per family in
+    their order: index n holds the count with n leaves, and the sizes below
+    family.min_n hold 0.
 
     n! |G| times the count is the sum over the cycle types mu of G, each
     weighted by its number of elements, of the sum over lam |- n of
     n!/z_lam times the product over the parts j of mu of a_{lam^j}, where
-    a is r or u.  Each _pass_key of the mu reads one table that holds that
-    sum for each n: _fixed_point_table for rooted trees, and for unrooted
-    ones, a pair of trees, _unrooted_table, which holds the lam = 3 nu too.
-    So the weighted total divides by |G| n! alone.  Every table is
-    read through the pass store (_PassStore), so a table that an earlier
-    call built, for any family and to at least max_n, is not built again.
+    a is r or u.  Each mu reads the one table of its store key
+    (_store_key) that holds that sum for each n: _fixed_point_table for
+    rooted trees, and for unrooted ones, a pair of trees, _unrooted_table,
+    which holds the lam = 3 nu too.  So the weighted total divides by
+    |G| n! alone.
+
+    A table depends on its key only, never on the family, so each distinct
+    key of all the families is read once, in the order they first read it,
+    and added into every family that reads it before the next key is read.
+    The tables are read through the pass store (_PassStore), so a table
+    that an earlier call built to at least max_n is not built again.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    passes: Counter[PassKey] = Counter()
-    for mu in family.group_types():
-        passes[_pass_key(mu)] += family.group_elements(mu)
-    totals = [0] * (max_n + 1)
-    for (g, valuations), weight in passes.items():
-        if family.unrooted:
-            key, build = ("unrooted", valuations), partial(_unrooted_table, valuations)
-        else:
-            key, build = (g, valuations), partial(_fixed_point_table, g, valuations)
-        sums = _passes.get(key, max_n, build)
+    families = list(families)
+    readers: dict = {}  # store key: [(family index, weight)], first read first
+    for i, family in enumerate(families):
+        weights: Counter = Counter()
+        for mu in family.group_types():
+            weights[_store_key(family, mu)] += family.group_elements(mu)
+        for key, weight in weights.items():
+            readers.setdefault(key, []).append((i, weight))
+    totals = [[0] * (max_n + 1) for _ in families]
+    for key, reads in readers.items():
+        sums = _passes.get(key, max_n, _key_pass(key, max_n)[0])
+        for i, weight in reads:
+            total = totals[i]
+            for n in range(families[i].min_n, max_n + 1):
+                total[n] += weight * sums[n]
+    for family, total in zip(families, totals):
         for n in range(family.min_n, max_n + 1):
-            totals[n] += weight * sums[n]
-    table = [0] * (max_n + 1)
-    for n in range(family.min_n, max_n + 1):
-        divisor = family.group_order * math.factorial(n)
-        table[n] = _divide(totals[n], divisor, family.label)
-    return table
+            divisor = family.group_order * math.factorial(n)
+            total[n] = _divide(total[n], divisor, family.label)
+    return totals
+
+
+def count_table(family: TanglegramFamily, max_n: int) -> list[int]:
+    """count_tables([family], max_n)[0]: the counts of one family for
+    every n <= max_n."""
+    return count_tables([family], max_n)[0]
 
 
 def count(family: TanglegramFamily, n: int) -> int:

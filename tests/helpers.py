@@ -191,7 +191,11 @@ def _grow_products(carry, size):
 
 
 def reference_no_leaf_table(max_n):
-    """species._no_leaf_table by the nine sums of (S, r, half): the six
+    """The binary lam with no part 1 in the unrooted tables of 1^2 and (2),
+    for reference_unrooted_table: (squares, powers), whose entries n are n!
+    times the sums over those lam |- n of u_lam^2 / z_lam and of
+    u_{lam^2} / z_lam, by the nine sums of (S, r, half) that u_direct's
+    dissymmetry step carries: the six
     products of two of lam's terms, from which 9 u^2 = SS + rr + 4hh - 2Sr
     + 4Sh - 4rh, and lam^2's three terms, from which 3 u = S - r + 2 half.
     The empty lam enters with S = r = half = -1, which the step at size 0

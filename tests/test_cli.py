@@ -37,6 +37,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def zero_tables(families, max_n):
+    """A stand-in for species.count_tables that counts nothing."""
+    return [[0] * (max_n + 1) for _ in families]
+
+
 class TestCounts:
     def test_chain_k2_n1(self, capsys):
         code, out, _ = run(capsys, "counts", "--family", "chain", "--k", "2", "--max-n", "1")
@@ -134,7 +139,7 @@ class TestCounts:
         def broken(*args):
             raise RuntimeError("broken")
 
-        monkeypatch.setattr(species, "count_table", broken)
+        monkeypatch.setattr(species, "count_tables", broken)
         target = tmp_path / "keep.tsv"
         target.write_text("kept\n")
         code, _, err = run(
@@ -222,7 +227,7 @@ class TestCounts:
         def broken(*args):
             raise ValueError("broken")
 
-        monkeypatch.setattr(species, "count_table", broken)
+        monkeypatch.setattr(species, "count_tables", broken)
         code, _, err = run(capsys, "counts", "--family", "unrooted-ordered", "--max-n", "3")
         assert code == 1
         assert err.startswith("internal error:") and "broken" in err
@@ -255,7 +260,7 @@ class TestCounts:
         def forbidden(*args):
             raise AssertionError("computed past the guard")
 
-        monkeypatch.setattr(species, "count_table", forbidden)
+        monkeypatch.setattr(species, "count_tables", forbidden)
         code, _, err = run(
             capsys, "counts", "--family", "rooted-unordered", "--family", family,
             "--max-n", str(max_n),
@@ -270,18 +275,19 @@ class TestCounts:
             ("--family", "rooted-ordered", "--max-n", "2100"),
             ("--family", "rooted-ordered", "--max-n", str(10**30)),
             ("--family", "rooted-ordered", "--max-n", str(10**400)),
-            # each family alone is admitted (the limits below)
+            # each family alone is admitted (the limits below), but not both
+            # past their joint limit, 1576
             ("--family", "unrooted-ordered", "--family", "unrooted-unordered",
-             "--max-n", "1500"),
+             "--max-n", "1579"),
         ],
         ids=["unrooted-ordered-2000", "rooted-ordered-2100", "1e30", "1e400",
-             "both-unrooted-1500"],
+             "both-unrooted-1579"],
     )
     def test_guard_refuses_past_the_model(self, capsys, monkeypatch, argv):
         def forbidden(*args):
             raise AssertionError("computed past the guard")
 
-        monkeypatch.setattr(species, "count_table", forbidden)
+        monkeypatch.setattr(species, "count_tables", forbidden)
         start = time.perf_counter()
         code, _, err = run(capsys, "counts", *argv)
         assert time.perf_counter() - start < 0.5
@@ -309,7 +315,7 @@ class TestCounts:
         self.check_limit(capsys, monkeypatch, family)
 
     def check_limit(self, capsys, monkeypatch, family):
-        monkeypatch.setattr(species, "count_table", lambda fam, max_n: [0] * (max_n + 1))
+        monkeypatch.setattr(species, "count_tables", zero_tables)
         limit = self.LIMITS[family]
         for max_n, expected in ((601, 0), (limit, 0), (limit + 1, 2)):
             code, _, _ = run(
@@ -322,7 +328,7 @@ class TestCounts:
         def forbidden(*args):
             raise AssertionError("computed past the guard")
 
-        monkeypatch.setattr(species, "count_table", forbidden)
+        monkeypatch.setattr(species, "count_tables", forbidden)
         code, _, err = run(
             capsys, "counts", "--family", "chain-unordered", "--k", str(k),
             "--max-n", str(max_n),
@@ -332,7 +338,7 @@ class TestCounts:
 
     @pytest.mark.parametrize("k, max_n", [(30, 22), (30, 100), (4, 600)])
     def test_chain_pass_guard_admits(self, capsys, monkeypatch, k, max_n):
-        monkeypatch.setattr(species, "count_table", lambda fam, max_n: [0] * (max_n + 1))
+        monkeypatch.setattr(species, "count_tables", zero_tables)
         code, _, _ = run(
             capsys, "counts", "--family", "chain-unordered", "--k", str(k),
             "--max-n", str(max_n),
@@ -347,7 +353,7 @@ class TestCounts:
         def forbidden(*args):
             raise AssertionError("computed past the guard")
 
-        monkeypatch.setattr(species, "count_table", forbidden)
+        monkeypatch.setattr(species, "count_tables", forbidden)
         code, _, err = run(
             capsys, "counts", "--family", "chain", "--k", str(k), "--max-n", str(max_n)
         )
@@ -356,7 +362,7 @@ class TestCounts:
 
     @pytest.mark.parametrize("k, max_n", [(1500, 6), (10, 600), (100, 200), (30, 600)])
     def test_ordered_chain_guard_admits(self, capsys, monkeypatch, k, max_n):
-        monkeypatch.setattr(species, "count_table", lambda fam, max_n: [0] * (max_n + 1))
+        monkeypatch.setattr(species, "count_tables", zero_tables)
         code, _, _ = run(
             capsys, "counts", "--family", "chain", "--k", str(k), "--max-n", str(max_n)
         )
@@ -479,25 +485,25 @@ class TestVerify:
 
     def test_one_table_per_family(self, capsys, monkeypatch):
         calls = []
-        table = species.count_table
+        tables = species.count_tables
 
-        def counted(fam, max_n):
-            calls.append((fam.label, max_n))
-            return table(fam, max_n)
+        def counted(families, max_n):
+            calls.append(([fam.label for fam in families], max_n))
+            return tables(families, max_n)
 
         def forbidden(*args):
             raise AssertionError("count called per row")
 
-        monkeypatch.setattr(species, "count_table", counted)
+        monkeypatch.setattr(species, "count_tables", counted)
+        monkeypatch.setattr(species, "count_table", forbidden)
         monkeypatch.setattr(species, "count", forbidden)
         code, out, _ = run(capsys, "verify", "--max-n", "4")
         assert code == 0 and "FAIL" not in out
-        assert sorted(calls) == sorted(
-            (label, 4) for label in (
-                "rooted-ordered", "rooted-unordered", "chain(k=3)",
-                "chain-unordered(k=3)", "unrooted-ordered", "unrooted-unordered",
-            )
-        )
+        # one call for all six families
+        assert calls == [([
+            "rooted-ordered", "rooted-unordered", "chain(k=3)",
+            "chain-unordered(k=3)", "unrooted-ordered", "unrooted-unordered",
+        ], 4)]
 
     def test_one_enumeration_per_size_and_kind(self, capsys, monkeypatch):
         calls = []
@@ -671,7 +677,7 @@ class TestCommandLine:
         "argv, name",
         [
             (["counts", "--family", "rooted-ordered", "--family", "unrooted-ordered",
-              "--max-n", "600"], "count_table"),
+              "--max-n", "600"], "count_tables"),
             (["zindex", "U", "--max-degree", "40"], "closed_form_cycle_index"),
             (["gf", "U", "--max-n", "40"], "count_table"),
         ],

@@ -32,6 +32,7 @@ from tanglecount import (
     chain_unordered,
     count,
     count_table,
+    count_tables,
     h_series,
     inner_plethysm_hn,
     is_binary_partition,
@@ -47,9 +48,31 @@ from tanglecount import (
 )
 from tanglecount import species
 from tanglecount import u_direct
+from tanglecount.oracle import burnside_count
 
 P = Partition
 FOUR_KINDS = [ROOTED_ORDERED, ROOTED_UNORDERED, UNROOTED_ORDERED, UNROOTED_UNORDERED]
+
+
+class GroupFamily:
+    """Unrooted trees under a group of the trees given by its cycle types,
+    each with its number of elements: the part of TanglegramFamily that
+    count_table and burnside_count read, for groups no family kind has."""
+
+    unrooted = True
+    min_n = 2
+
+    def __init__(self, trees, types):
+        self.trees = trees
+        self.types = {Partition(mu): size for mu, size in types.items()}
+        self.group_order = sum(types.values())
+        self.label = f"group of order {self.group_order} on {trees} unrooted trees"
+
+    def group_types(self):
+        return iter(self.types)
+
+    def group_elements(self, mu):
+        return self.types[mu]
 
 # printed expansions of the two cycle indices through degree 4
 ZR_GOLDEN = {
@@ -659,6 +682,31 @@ class TestCountTable:
         with pytest.raises(ValueError):
             count_table(ROOTED_ORDERED, -1)
 
+    def test_unrooted_klein_four_group_matches_burnside(self):
+        # the 4-cycle-free group of 4 unrooted trees reads the unrooted keys
+        # of 1^4 and (2, 2): g = 1 and equal valuations
+        klein = GroupFamily(4, {(1, 1, 1, 1): 1, (2, 2): 3})
+        table = count_table(klein, 7)
+        assert table[:2] == [0, 0]
+        for n in range(2, 8):
+            assert table[n] == burnside_count(klein, n), n
+
+    @pytest.mark.parametrize(
+        "types, key",
+        [
+            ({(1, 1, 1): 1, (3,): 2}, r"\(3, \(0,\)\)"),  # C_3 on 3 trees
+            ({(1, 1, 1, 1): 1, (2, 1, 1): 2, (2, 2): 1}, r"\(1, \(0, 0, 1\)\)"),  # S_2 x S_2
+        ],
+        ids=["C3", "S2xS2"],
+    )
+    def test_unrooted_key_without_a_table_is_refused(self, types, key):
+        family = GroupFamily(len(next(iter(types))), types)
+        with pytest.raises(ValueError, match=f"unrooted pass key {key}"):
+            count_table(family, 5)
+        # the guard's listing reads the same keys
+        with pytest.raises(ValueError, match=f"unrooted pass key {key}"):
+            list(species._pass_costs([family], 5))
+
     def test_chain_pass_parts(self):
         # the 769 passes of k = 30 have 9013 parts, those of k = 31 over 10000
         assert species.table_guard([chain_unordered(30)], 1) is None
@@ -701,7 +749,7 @@ class TestCountTable:
         ],
     )
     def test_pass_model_within_15_percent(self, family, max_n, measured):
-        model = sum(seconds for _, seconds in species._pass_costs(family, max_n))
+        model = sum(seconds for _, seconds in species._pass_costs([family], max_n))
         assert abs(model / measured - 1) <= 0.15
 
     # printing the whole table in decimal, timed on the same host
@@ -720,14 +768,20 @@ class TestCountTable:
         assert species.table_guard([chain(100)], 200) is None
 
     def test_guard_sums_the_families(self):
-        # each alone fits the budget, both together do not
+        # each alone fits the budget, both together do not: unrooted-unordered
+        # is admitted alone to 1579, and both to 1576
         unrooted = [UNROOTED_ORDERED, UNROOTED_UNORDERED]
         for family in unrooted:
-            assert species.table_guard([family], 1500) is None
-        assert "printing" in species.table_guard(unrooted, 1500)
-        # a pass two families share is charged to each: 25.0 s each
+            assert species.table_guard([family], 1579) is None
+        assert "printing" in species.table_guard(unrooted, 1579)
+        assert species.table_guard(unrooted, 1576) is None
+        # a pass two families share is charged once: the rooted pass of 1^2
+        # to 1800 is 24.6 s, and printing both tables 0.8 s
         assert species.table_guard([ROOTED_ORDERED], 1800) is None
-        assert "printing" in species.table_guard([ROOTED_ORDERED, chain(2)], 1800)
+        assert species.table_guard([ROOTED_ORDERED, chain(2)], 1800) is None
+        # each alone is admitted to 2092, both to 2082, their printing summed
+        assert species.table_guard([chain(2)], 2092) is None
+        assert "printing" in species.table_guard([ROOTED_ORDERED, chain(2)], 2083)
 
     @pytest.mark.parametrize("max_n", [8945, 10**30, 10**400])
     def test_guard_refuses_any_n_at_once(self, monkeypatch, max_n):
@@ -791,8 +845,10 @@ class TestPassStore:
             assert isinstance(table, tuple) and size == species._table_bytes(table)
             assert all(type(entry) is int for entry in table)
 
-    def test_six_families_build_one_table_per_pass_key(self, monkeypatch):
-        store = species._passes
+    @staticmethod
+    def record_builds(monkeypatch):
+        """The keys of the tables built from now on, through a new store."""
+        store = species._PassStore()
         builds = []
         get = store.get
 
@@ -800,14 +856,55 @@ class TestPassStore:
             return get(key, max_n, lambda top: builds.append(key) or build(top))
 
         monkeypatch.setattr(store, "get", counted)
+        monkeypatch.setattr(species, "_passes", store)
+        return builds
+
+    def test_six_families_build_one_table_per_pass_key(self, monkeypatch):
+        builds = self.record_builds(monkeypatch)
         for fam in (*FOUR_KINDS, chain(3), chain_unordered(3)):
             count_table(fam, 30)
         # S_2 and S_3 of rooted trees, 1^2, (2), 1^3, (2, 1) and (3), and
         # the unrooted 1^2 and (2), each built once
-        assert sorted(builds, key=repr) == [
+        expected = [
             ("unrooted", (0, 0)), ("unrooted", (1,)),
             (1, (0, 0)), (1, (0, 0, 0)), (1, (0, 1)), (1, (1,)), (3, (0,)),
         ]
+        assert sorted(builds, key=repr) == expected
+        # one count_tables call builds each key once with a store that keeps
+        # nothing, where one count_table per family built 1^2 and (2) twice
+        builds = self.record_builds(monkeypatch)
+        monkeypatch.setattr(species, "PASS_STORE_BYTES", 0)
+        count_tables([*FOUR_KINDS, chain(3), chain_unordered(3)], 30)
+        assert sorted(builds, key=repr) == expected and not species._passes.tables
+
+    @pytest.mark.parametrize(
+        "families",
+        [
+            [ROOTED_ORDERED, chain(2)],
+            [UNROOTED_ORDERED, UNROOTED_UNORDERED],
+            [*FOUR_KINDS, chain(3), chain_unordered(3)],
+            [chain_unordered(4), chain(4), ROOTED_UNORDERED, chain_unordered(2)],
+            [chain_unordered(5), UNROOTED_UNORDERED, chain(1)],
+        ],
+        ids=lambda families: "+".join(fam.label for fam in families),
+    )
+    def test_guard_charges_the_keys_that_are_built(self, monkeypatch, families):
+        charged = []
+        key_pass = species._key_pass
+
+        def recorded(key, max_n):
+            charged.append(key)
+            return key_pass(key, max_n)
+
+        monkeypatch.setattr(species, "_key_pass", recorded)
+        assert species.table_guard(families, 30) is None
+        monkeypatch.setattr(species, "_key_pass", key_pass)
+        builds = self.record_builds(monkeypatch)
+        monkeypatch.setattr(species, "PASS_STORE_BYTES", 0)
+        tables = count_tables(families, 30)
+        # the same keys, each once, in the order they are first read
+        assert charged == builds and len(set(builds)) == len(builds)
+        assert tables == [count_table(fam, 30) for fam in families]
 
     def test_held_bytes_within_budget(self):
         count_table(chain_unordered(20), 100)
