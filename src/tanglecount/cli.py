@@ -148,22 +148,20 @@ def cmd_zindex(args: SimpleNamespace) -> int:
 
 
 def cmd_gf(args: SimpleNamespace) -> int:
-    # the rooted trees are the chain of one tree, so gf is that count table,
-    # and for U Otter's dissymmetry step on it, under the same guard as counts
-    N, unrooted = args.max_n, args.which == "U"
-    if N < 1 + unrooted:
-        raise _UsageError(f"gf {args.which} requires --max-n >= {1 + unrooted}")
-    rooted = species.chain(1)
-    reason = species.table_guard([rooted], N)
+    # the trees of either kind are the chain of one tree, so gf is the count
+    # table of that chain, under the same guard as counts
+    N, which = args.max_n, args.which
+    family = TanglegramFamily("unrooted-chain" if which == "U" else "chain", 1)
+    if N < family.min_n:
+        raise _UsageError(f"gf {which} requires --max-n >= {family.min_n}")
+    reason = species.table_guard([family], N)
     if reason is not None:
-        raise _UsageError(f"gf {args.which} to --max-n {N}: {reason}")
-    label = f"{args.which}-unlabeled"
+        raise _UsageError(f"gf {which} to --max-n {N}: {reason}")
+    label = f"{which}-unlabeled"
 
     def render() -> str:
-        table = species.count_table(rooted, N)
-        if unrooted:
-            table = species.unrooted_from_rooted(table)
-        rows: Rows = [(label, n, table[n]) for n in range(1 + unrooted, N + 1)]
+        table = species.count_table(family, N)
+        rows: Rows = [(label, n, table[n]) for n in range(family.min_n, N + 1)]
         return _RENDERERS[args.format](rows)
 
     _emit(args.output, render)

@@ -11,13 +11,14 @@ one sum over the cycle types lam |- n of the leaf permutation:
 where a_lam is r_lam or u_lam, the number of labeled rooted or unrooted
 binary trees fixed by a permutation of cycle type lam, lam^j is the cycle
 type of its j-th power, and Z_G is read off G's cycle types mu and the
-number of elements of each.  The six families of FAMILY_KINDS are
+number of elements of each.  The seven families of FAMILY_KINDS are
 
   chain (k)            rooted trees, the identity on k trees
   rooted ordered       the chain with k = 2
   chain unordered (k)  rooted trees, S_k
   rooted unordered     the unordered chain with k = 2
-  unrooted ordered     unrooted trees, the identity on 2 trees
+  unrooted chain (k)   unrooted trees, the identity on k trees
+  unrooted ordered     the unrooted chain with k = 2
   unrooted unordered   unrooted trees, S_2
 
 r_lam has a product formula (r_closed_form) and vanishes unless every
@@ -36,17 +37,18 @@ diagonal in d = u - half, d' = (2m - 3) d, so D = 3d and half are
 products over the parts of lam, as r is, and 3u = D + 3 half.  Each rule
 gives binary-partition passes of one running product, the same pass as
 r's with other factors, so no term is summed one lam at a time: the
-binary lam are the passes of D^2, D half and half^2 for mu = 1^2 and of
-D and half for mu = (2), each from the empty lam up, and the lam = 3 nu
+binary lam are the passes of D^(k-i) half^i, i = 0..k, for mu = 1^k and
+of D and half for mu = (2), each from the empty lam up, and the lam = 3 nu
 a rooted pass over nu, with a power of 3 per part, that _unrooted_table
 adds in: one table per pass key for either tree kind.
 
 No count goes through a series solve, and cycle_index loads only when a
 series is asked for.  closed_form_cycle_index reads either cycle index off
 r and u on their support alone, the coefficient of p_lam being
-a_lam / z_lam.  The unlabeled tree counts need no series either: the
-rooted ones are the chain of one tree, and unrooted_from_rooted takes the
-unrooted ones from them by Otter's dissymmetry step.  The solved series
+a_lam / z_lam.  The unlabeled tree counts need no series either: they
+are the chains of one tree, rooted or unrooted, and unrooted_from_rooted,
+Otter's dissymmetry step, checks the unrooted ones against the rooted
+ones by another route.  The solved series
 stay as the independent cross-check: the rooted cycle index solves
 Z = p_1 + h_2[Z] (a binary tree is a leaf or an unordered pair of binary
 trees), and the unrooted one is Z_U = h_3[Z] + p_1 Z + Z - Z^2 - p_1.
@@ -95,6 +97,7 @@ _KINDS = {
     "unrooted-unordered": _Kind(True, False, True),
     "chain": _Kind(False, True, False),
     "chain-unordered": _Kind(False, True, True),
+    "unrooted-chain": _Kind(True, True, False),
 }
 FAMILY_KINDS = tuple(_KINDS)
 TREE_KINDS = ("rooted", "unrooted")  # indexed by TanglegramFamily.unrooted
@@ -374,8 +377,9 @@ def closed_form_cycle_index(N: int, unrooted: bool) -> CycleIndexSeries:
 # command runs for much more than a minute.  zindex prints every term of
 # closed_form_cycle_index, which reads only the support, so its text holds it
 # here: 220 KB for U at N = 40, 1.8 times as much as at N = 35.  counts, and
-# gf, which prints the table of chain(1), are held by the time model below
-# alone (table_guard), with no fixed bound on n.
+# gf, which prints the table of the rooted or unrooted chain of one tree,
+# are held by the time model below alone (table_guard), with no fixed bound
+# on n.
 SERIES_LIMIT = 40  # zindex
 # count_tables builds one table per store key of its families' cycle types
 # (_store_key), and a pass runs about max_n^2 steps of its inner loop.  Each
@@ -385,22 +389,25 @@ SERIES_LIMIT = 40  # zindex
 # carried product, about (1 + p) n log n bits for a mu of p parts, the
 # PASS_SECONDS * (1 + p) term, and multiplies it by a block of about p log n
 # bits, the PART_SECONDS * p^1.75 term; max_n^3.2 stands in for max_n^3 log
-# max_n.  _key_pass charges the unrooted passes too.  The constants fit
-# the 22 rows of test_pass_model_within_15_percent, all timed on one host:
-# 13 rooted and 2 unrooted tables to n <= 600, and 7 tables to n = 1000 and
+# max_n.  _key_pass charges a key's odd cycle lengths and the unrooted
+# passes from it.  The constants fit the 27 rows of
+# test_pass_model_within_15_percent, all timed on one host, within 13%:
+# 13 rooted tables, 2 unrooted ones and 2 passes of one cycle type to
+# n <= 600, 3 unrooted chains to 600 and 800, and 7 tables to n = 1000 and
 # 1500.  Past 1500 the model overestimates (rooted-ordered to 2000 took
-# 22.2 s for a modelled 34.2 s), which errs toward refusing.
+# 22.2 s for a modelled 28.6 s), which errs toward refusing.
 STEP_SECONDS = 5e-7
-PASS_SECONDS = 2.65e-10
-PART_SECONDS = 2.5e-11
+PASS_SECONDS = 2.15e-10
+PART_SECONDS = 2.4e-11
 # The command line then prints each count in decimal, which CPython 3.11
 # does in time quadratic in its digits d: PRINT_SECONDS * d^2 fits printing
 # the tables of chain(30) to 600, chain(100) to 200 and chain(1000) to 100
 # (1.6e-11 to 1.8e-11 s per digit^2 on the same host, 6.5 s, 1.9 s and 15.9 s).
 PRINT_SECONDS = 1.8e-11
 PASS_SECONDS_LIMIT = 40.0  # between chain-unordered(9) and (10) to 600
-# The guard lists G's cycle types until the parts of the distinct passes
-# would pass this bound (k <= 30 for S_k), which takes 0.2 s or less.
+# The guard lists G's cycle types until the parts of the passes they read
+# would pass this bound (k <= 30 for S_k, and k <= 99 for the unrooted chains,
+# whose table runs k + 1 passes of k parts), which takes 0.2 s or less.
 PASS_PARTS_LIMIT = 10_000
 
 
@@ -458,26 +465,41 @@ def _store_key(family: TanglegramFamily, mu: Partition) -> tuple:
     return "unrooted", valuations
 
 
+def _odd_lengths(g: int) -> list[int]:
+    """The odd e | g: the cycle lengths e * 2^a that a pass of g adds."""
+    return [e for e in range(1, g + 1, 2) if g % e == 0]
+
+
 def _key_pass(key: tuple, max_n: int) -> tuple:
-    """(build, seconds) of a store key: the function that builds its table
-    to the max_n it is called with, and the modelled time of building it to
-    max_n.  An unrooted key's _unrooted_table runs parts + 1 scalar passes,
-    charged as one pass of parts + 1 parts, and its rotated pass to
-    max_n // 3."""
+    """(build, parts, seconds) of a store key: the function that builds its
+    table to the max_n it is called with, the parts of the passes that
+    build it, and the modelled time of building it to max_n.
+
+    A rooted key's pass runs one sub-pass for each odd e | g, each charged
+    as a whole pass: on one host the passes of g = 3, 5 and 15 took 2.2, 1.9
+    and 3.3 times that of g = 1.  An unrooted key's table runs p + 1 passes
+    of p parts, of D^p and of p products with half, which vanishes unless
+    every part of lam is even, and a rotated pass to max_n // 3.  It took
+    1.3 to 2.6 times the rooted pass of p parts for p = 1 to 10, and 11.6
+    times at p = 100, and is charged sqrt(p + 1) times it.  At p = 1000 it
+    took 103 times, but the parts bound, which counts all (p + 1) p parts,
+    stops at p = 99."""
     tag, valuations = key
     parts = len(valuations)
+    seconds = _pass_seconds(parts, max_n)
     if tag == "unrooted":
-        seconds = _pass_seconds(parts + 1, max_n) + _pass_seconds(parts, max_n // 3)
-        return partial(_unrooted_table, valuations), seconds
-    return partial(_fixed_point_table, tag, valuations), _pass_seconds(parts, max_n)
+        seconds = math.sqrt(parts + 1) * seconds + _pass_seconds(parts, max_n // 3)
+        return partial(_unrooted_table, valuations), (parts + 1) * parts, seconds
+    return partial(_fixed_point_table, tag, valuations), parts, len(_odd_lengths(tag)) * seconds
 
 
 def _pass_costs(families: list[TanglegramFamily], max_n: int) -> Iterator[tuple[int, float]]:
     """One (parts, seconds) per store key that each family reads, in the
-    order count_tables first reads them: the parts of the key's mu, and the
-    modelled time of building its table to max_n, or 0 for a key an earlier
-    family reads too, since count_tables builds each key once."""
-    keys: set = set()
+    order count_tables first reads them: the parts of the passes that build
+    the key's table, and the modelled time of building it to max_n, or 0 for
+    a key an earlier family reads too, since count_tables builds each key
+    once."""
+    key_parts: dict = {}  # store key: parts
     for family in families:
         read = set()
         for mu in family.group_types():
@@ -485,8 +507,10 @@ def _pass_costs(families: list[TanglegramFamily], max_n: int) -> Iterator[tuple[
             if key in read:
                 continue
             read.add(key)
-            yield len(mu), 0.0 if key in keys else _key_pass(key, max_n)[1]
-            keys.add(key)
+            built = key in key_parts
+            if not built:
+                _, key_parts[key], seconds = _key_pass(key, max_n)
+            yield key_parts[key], 0.0 if built else seconds
 
 
 def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
@@ -568,7 +592,7 @@ def _fixed_point_table(
     product formula's max(2m - 1, 1).  factors, one per part of mu in the
     order of valuations, replace r's: _unrooted_table's passes.
     """
-    odd_lengths = [e for e in range(1, g + 1, 2) if g % e == 0]
+    odd_lengths = _odd_lengths(g)
     factors = factors or (_r_factor,) * len(valuations)
     table, s, a = [1] + [0] * max_n, 1, 0
     while s <= max_n:
@@ -612,14 +636,15 @@ def _fixed_point_table(
 
 def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
     """Index n >= 2 holds n! times the sum over lam |- n of
-    prod over parts j of mu of u_{lam^j}, divided by z_lam, for mu = 1^2
-    (valuations (0, 0)) or (2) (valuations (1,)); indices 0 and 1 hold 0.
+    prod over parts j of mu of u_{lam^j}, divided by z_lam, for mu = 1^p,
+    any p >= 1 (valuations (0,) * p), or (2) (valuations (1,)); indices 0
+    and 1 hold 0.
 
     On the binary lam, U = 3u = D + 3 half, where D = 3 (u - half) and
     half are products over the parts of lam (see u_direct), so a product of
     p alike U_{lam^j} is the sum over i of C(p, i) 3^i D^(p-i) half^i:
-    scalar passes of D^2, D half and half^2 for 1^2, of D and half of lam^2
-    for (2).  From the empty lam's 1 each pass gives D_lam, and -half_lam
+    scalar passes of D^(p-i) half^i, i = 0..p, for 1^p, of D and half of
+    lam^2 for (2).  From the empty lam's 1 each pass gives D_lam, and -half_lam
     for every lam but (1), where it gives 2 against half's 1: a part added
     at m = 1 has half's factor 2m - 2 = 0, so that entry reaches no n >= 2,
     the only entries read.  The lam = 3 nu add n!/m! times the rotated pass
@@ -712,8 +737,8 @@ def count_tables(families: Iterable[TanglegramFamily], max_n: int) -> list[list[
     n!/z_lam times the product over the parts j of mu of a_{lam^j}, where
     a is r or u.  Each mu reads the one table of its store key
     (_store_key) that holds that sum for each n: _fixed_point_table for
-    rooted trees, and for unrooted ones, a pair of trees, _unrooted_table,
-    which holds the lam = 3 nu too.  So the weighted total divides by
+    rooted trees, and _unrooted_table for unrooted ones, which holds the
+    lam = 3 nu too.  So the weighted total divides by
     |G| n! alone.
 
     A table depends on its key only, never on the family, so each distinct

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -223,6 +222,13 @@ class TestCounts:
         assert code == 2
         assert err.startswith("error:") and "k >= 1" in err
 
+    def test_bad_unrooted_chain_length_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "counts", "--family", "unrooted-chain", "--k", "0", "--max-n", "3"
+        )
+        assert code == 2
+        assert err.startswith("error:") and "k >= 1" in err
+
     def test_internal_value_error_exits_one(self, capsys, monkeypatch):
         def broken(*args):
             raise ValueError("broken")
@@ -272,16 +278,18 @@ class TestCounts:
         "argv",
         [
             ("--family", "unrooted-ordered", "--max-n", "2000"),
-            ("--family", "rooted-ordered", "--max-n", "2100"),
+            ("--family", "rooted-ordered", "--max-n", "2300"),
             ("--family", "rooted-ordered", "--max-n", str(10**30)),
             ("--family", "rooted-ordered", "--max-n", str(10**400)),
             # each family alone is admitted (the limits below), but not both
-            # past their joint limit, 1576
+            # past their joint limit, 1607
             ("--family", "unrooted-ordered", "--family", "unrooted-unordered",
-             "--max-n", "1579"),
+             "--max-n", "1610"),
+            # charged as one pass of k + 1 = 11 parts, this would be admitted
+            ("--family", "unrooted-chain", "--k", "10", "--max-n", "1173"),
         ],
-        ids=["unrooted-ordered-2000", "rooted-ordered-2100", "1e30", "1e400",
-             "both-unrooted-1579"],
+        ids=["unrooted-ordered-2000", "rooted-ordered-2300", "1e30", "1e400",
+             "both-unrooted-1610", "unrooted-chain-10-1173"],
     )
     def test_guard_refuses_past_the_model(self, capsys, monkeypatch, argv):
         def forbidden(*args):
@@ -297,15 +305,17 @@ class TestCounts:
     # the largest n that the time model admits for each family alone, k = 3
     # for the chains; no fixed cap on n stands before it
     LIMITS = {
-        "rooted-ordered": 2092,
-        "rooted-unordered": 1784,
-        "unrooted-ordered": 1878,
-        "unrooted-unordered": 1579,
-        "chain": 1875,
-        "chain-unordered": 1465,
+        "rooted-ordered": 2214,
+        "rooted-unordered": 1889,
+        "unrooted-ordered": 1849,
+        "unrooted-unordered": 1610,
+        "chain": 1978,
+        "chain-unordered": 1454,
+        "unrooted-chain": 1589,
     }
 
-    @pytest.mark.parametrize("family", ["unrooted-ordered", "unrooted-unordered"])
+    @pytest.mark.parametrize("family", ["unrooted-ordered", "unrooted-unordered",
+                                        "unrooted-chain"])
     def test_unrooted_guard_admits_its_limit(self, capsys, monkeypatch, family):
         self.check_limit(capsys, monkeypatch, family)
 
@@ -345,7 +355,7 @@ class TestCounts:
         )
         assert code == 0
 
-    # (500, 200): 33.7 s of passes and 48.8 s of printing by the model
+    # (500, 200): 31.8 s of passes and 48.8 s of printing by the model
     @pytest.mark.parametrize(
         "k, max_n", [(150, 600), (2000, 200), (5000, 100), (10**6, 10), (500, 200)]
     )
@@ -427,9 +437,10 @@ class TestGf:
         assert code == 2
         assert "max-n" in err
 
-    # gf is the count table of chain(1), under the guard of counts
+    # gf is the count table of the chain of one tree, under the guard of counts
     def test_guard(self, capsys):
-        assert species.table_guard([species.chain(1)], 3000) is not None
+        unrooted = species.TanglegramFamily("unrooted-chain", 1)
+        assert species.table_guard([unrooted], 3000) is not None
         code, _, err = run(capsys, "gf", "U", "--max-n", "3000")
         assert code == 2
         assert "guard" in err
@@ -454,16 +465,25 @@ class TestGf:
         assert values == species.closed_form_cycle_index(60, True).unlabeled_gf()[2:]
 
     def test_non_integer_coefficient_is_internal_error(self, capsys, monkeypatch):
-        # an integral rooted table always gives an integral h3[R]; half a
-        # tree at n = 2 makes Otter's division by 6 inexact at n = 4
-        monkeypatch.setattr(
-            species, "count_table", lambda family, max_n: [0, 1, Fraction(1, 2), 1, 1]
-        )
-        code, out, err = run(capsys, "gf", "U", "--max-n", "4")
+        # an unrooted pass whose entry at n = 2 is not a multiple of 2!
+        monkeypatch.setattr(species, "_passes", species._PassStore())
+        monkeypatch.setattr(species, "_unrooted_table", lambda valuations, max_n: [0, 0, 1, 6])
+        code, out, err = run(capsys, "gf", "U", "--max-n", "3")
         assert code == 1 and out == ""
         assert err.startswith(
-            "internal error: NonIntegerCount: unrooted tree count at 4 evaluated to non-integer 3/6"
+            "internal error: NonIntegerCount: unrooted-chain(k=1) evaluated to non-integer 1/2"
         )
+
+    # gf U reads the unrooted pass of one tree, not Otter's step on gf R
+    def test_u_is_not_otters_step(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("gf U took Otter's step")
+
+        monkeypatch.setattr(species, "unrooted_from_rooted", forbidden)
+        code, out, _ = run(capsys, "gf", "U", "--max-n", "40")
+        assert code == 0
+        values = [int(line.split("\t")[2]) for line in out.splitlines()[1:]]
+        assert values == species.closed_form_cycle_index(40, True).unlabeled_gf()[2:]
 
 
 class TestVerify:
