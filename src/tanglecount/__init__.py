@@ -1,7 +1,9 @@
 """Exact enumeration of tanglegram variants.
 
 The package counts unlabeled tanglegrams exactly: ordered and unordered,
-rooted and unrooted, plus tangled chains of any length, each as a sum
+rooted and unrooted, plus tangled chains of any length: chain(k) and
+chain_unordered(k) of rooted trees, and TanglegramFamily("unrooted-chain",
+k) of unrooted ones, the ordered chain of k unrooted trees, each as a sum
 over the cycle types of the leaf permutation of the numbers of labeled
 trees that a permutation fixes.  The cycle indices of rooted and unrooted
 leaf-labeled binary trees, in exact rational arithmetic, give a second

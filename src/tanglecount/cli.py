@@ -116,25 +116,30 @@ def _emit(output: str | None, render: Callable[[], str]) -> None:
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_counts(args: SimpleNamespace) -> int:
-    families = _resolve_families(args.family, args.k)
+def _print_tables(args: SimpleNamespace, families: list, name: str = "", label: str = "") -> int:
+    # name names the tables in a refusal, label every row; by default the
+    # families' own labels do both
     max_n = args.max_n
     for fam in families:
         if max_n < fam.min_n:
-            raise _UsageError(f"{fam.label} requires --max-n >= {fam.min_n}")
+            raise _UsageError(f"{name or fam.label} requires --max-n >= {fam.min_n}")
     reason = species.table_guard(families, max_n)
     if reason is not None:
-        labels = ", ".join(fam.label for fam in families)
-        raise _UsageError(f"{labels} to --max-n {max_n}: {reason}")
+        name = name or ", ".join(fam.label for fam in families)
+        raise _UsageError(f"{name} to --max-n {max_n}: {reason}")
 
     def render() -> str:
         rows: Rows = []
         for fam, table in zip(families, species.count_tables(families, max_n)):
-            rows.extend((fam.label, n, table[n]) for n in range(fam.min_n, max_n + 1))
+            rows.extend((label or fam.label, n, table[n]) for n in range(fam.min_n, max_n + 1))
         return _RENDERERS[args.format](rows)
 
     _emit(args.output, render)
     return 0
+
+
+def cmd_counts(args: SimpleNamespace) -> int:
+    return _print_tables(args, _resolve_families(args.family, args.k))
 
 
 def cmd_zindex(args: SimpleNamespace) -> int:
@@ -148,24 +153,9 @@ def cmd_zindex(args: SimpleNamespace) -> int:
 
 
 def cmd_gf(args: SimpleNamespace) -> int:
-    # the trees of either kind are the chain of one tree, so gf is the count
-    # table of that chain, under the same guard as counts
-    N, which = args.max_n, args.which
-    family = TanglegramFamily("unrooted-chain" if which == "U" else "chain", 1)
-    if N < family.min_n:
-        raise _UsageError(f"gf {which} requires --max-n >= {family.min_n}")
-    reason = species.table_guard([family], N)
-    if reason is not None:
-        raise _UsageError(f"gf {which} to --max-n {N}: {reason}")
-    label = f"{which}-unlabeled"
-
-    def render() -> str:
-        table = species.count_table(family, N)
-        rows: Rows = [(label, n, table[n]) for n in range(family.min_n, N + 1)]
-        return _RENDERERS[args.format](rows)
-
-    _emit(args.output, render)
-    return 0
+    # the trees of either kind are the chain of one tree: gf is counts of it
+    family = TanglegramFamily("unrooted-chain" if args.which == "U" else "chain", 1)
+    return _print_tables(args, [family], f"gf {args.which}", f"{args.which}-unlabeled")
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
@@ -234,15 +224,13 @@ def cmd_verify(args: SimpleNamespace) -> int:
         UNROOTED_UNORDERED,
     ]
     for fam, table in zip(families, species.count_tables(families, max_n)):
-        ok = True
         first_bad = ""
         for n in range(fam.min_n, max_n + 1):
             got = oracle.burnside_count(fam, n)
             if got != table[n]:
-                ok = False
                 first_bad = f"n={n}: oracle {got} vs count_table {table[n]}"
                 break
-        report(f"burnside-vs-series[{fam.label}]", ok, first_bad)
+        report(f"burnside-vs-series[{fam.label}]", not first_bad, first_bad)
 
     # functional equation against the unlabeled GF of the series
     gf = zr.unlabeled_gf()

@@ -29,7 +29,6 @@ class DegreeOutOfRange(ValueError):
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class CycleIndexSeries:

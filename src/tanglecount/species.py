@@ -23,7 +23,7 @@ number of elements of each.  The seven families of FAMILY_KINDS are
 
 r_lam has a product formula (r_closed_form) and vanishes unless every
 part of lam is a power of 2, so count_tables sums over binary partitions,
-one pass per group of the mu that need the same pass (_store_key), built
+one pass per group of the mu that need the same pass (_key_reads), built
 once for all the families of one call.
 
 u_lam vanishes unless lam is binary or 3 times a binary partition (and
@@ -46,10 +46,8 @@ No count goes through a series solve, and cycle_index loads only when a
 series is asked for.  closed_form_cycle_index reads either cycle index off
 r and u on their support alone, the coefficient of p_lam being
 a_lam / z_lam.  The unlabeled tree counts need no series either: they
-are the chains of one tree, rooted or unrooted, and unrooted_from_rooted,
-Otter's dissymmetry step, checks the unrooted ones against the rooted
-ones by another route.  The solved series
-stay as the independent cross-check: the rooted cycle index solves
+are the chains of one tree, rooted or unrooted.  The solved series stay
+as the independent cross-check: the rooted cycle index solves
 Z = p_1 + h_2[Z] (a binary tree is a leaf or an unordered pair of binary
 trees), and the unrooted one is Z_U = h_3[Z] + p_1 Z + Z - Z^2 - p_1.
 """
@@ -382,7 +380,7 @@ def closed_form_cycle_index(N: int, unrooted: bool) -> CycleIndexSeries:
 # on n.
 SERIES_LIMIT = 40  # zindex
 # count_tables builds one table per store key of its families' cycle types
-# (_store_key), and a pass runs about max_n^2 steps of its inner loop.  Each
+# (_key_reads), and a pass runs about max_n^2 steps of its inner loop.  Each
 # step has a fixed interpreter cost, the STEP_SECONDS * max_n^2 term, which is
 # most of the time of S_k's hundreds of passes with few parts at moderate n.
 # Each step also adds to, divides and multiplies by small numbers the
@@ -450,19 +448,24 @@ def _print_seconds(family: TanglegramFamily, max_n: int) -> float:
     return PRINT_SECONDS * digits2
 
 
-def _store_key(family: TanglegramFamily, mu: Partition) -> tuple:
-    """The key of the stored table that the family reads for its cycle type
-    mu: _pass_key(mu) on rooted trees, ("unrooted", valuations) on unrooted
-    ones.  _unrooted_table expands a product of alike u_{lam^j}, so it holds
-    only the keys with g = 1 and all valuations equal; any other unrooted
-    key raises ValueError."""
-    g, valuations = _pass_key(mu)
-    if not family.unrooted:
-        return g, valuations
-    if g != 1 or len(set(valuations)) > 1:
-        raise ValueError(f"{family.label} reads the unrooted pass key {(g, valuations)}, "
-                         "which has no table: only g = 1 with equal valuations")
-    return "unrooted", valuations
+def _key_reads(families: list[TanglegramFamily]) -> Iterator[tuple[int, Partition, tuple]]:
+    """(family index, mu, store key) for each cycle type mu of each family's
+    G in turn, one type at a time: the reads that count_tables weighs and
+    table_guard charges.  The store key, that of the stored table the family
+    reads for mu, is _pass_key(mu) on rooted trees and ("unrooted",
+    valuations) on unrooted ones.  _unrooted_table expands a product of
+    alike u_{lam^j}, so it holds only the keys with g = 1 and all valuations
+    equal; any other unrooted key raises ValueError."""
+    for i, family in enumerate(families):
+        for mu in family.group_types():
+            g, valuations = _pass_key(mu)
+            if not family.unrooted:
+                yield i, mu, (g, valuations)
+            elif g != 1 or len(set(valuations)) > 1:
+                raise ValueError(f"{family.label} reads the unrooted pass key {(g, valuations)}, "
+                                 "which has no table: only g = 1 with equal valuations")
+            else:
+                yield i, mu, ("unrooted", valuations)
 
 
 def _odd_lengths(g: int) -> list[int]:
@@ -481,36 +484,19 @@ def _key_pass(key: tuple, max_n: int) -> tuple:
     of p parts, of D^p and of p products with half, which vanishes unless
     every part of lam is even, and a rotated pass to max_n // 3.  It took
     1.3 to 2.6 times the rooted pass of p parts for p = 1 to 10, and 11.6
-    times at p = 100, and is charged sqrt(p + 1) times it.  At p = 1000 it
-    took 103 times, but the parts bound, which counts all (p + 1) p parts,
-    stops at p = 99."""
+    times at p = 100, and is charged sqrt(p + 1) times it, or (p + 1) / 8.7
+    times, the ratio at p = 100, from p = 75 on, where that is more.  Even
+    so the table of p = 99 to n = 224 took about 1.2 times its charge.  At
+    p = 1000 it took 103 times, but the parts bound, which counts all
+    (p + 1) p parts, stops at p = 99."""
     tag, valuations = key
     parts = len(valuations)
     seconds = _pass_seconds(parts, max_n)
     if tag == "unrooted":
-        seconds = math.sqrt(parts + 1) * seconds + _pass_seconds(parts, max_n // 3)
+        ratio = max(math.sqrt(parts + 1), (parts + 1) / 8.7)
+        seconds = ratio * seconds + _pass_seconds(parts, max_n // 3)
         return partial(_unrooted_table, valuations), (parts + 1) * parts, seconds
     return partial(_fixed_point_table, tag, valuations), parts, len(_odd_lengths(tag)) * seconds
-
-
-def _pass_costs(families: list[TanglegramFamily], max_n: int) -> Iterator[tuple[int, float]]:
-    """One (parts, seconds) per store key that each family reads, in the
-    order count_tables first reads them: the parts of the passes that build
-    the key's table, and the modelled time of building it to max_n, or 0 for
-    a key an earlier family reads too, since count_tables builds each key
-    once."""
-    key_parts: dict = {}  # store key: parts
-    for family in families:
-        read = set()
-        for mu in family.group_types():
-            key = _store_key(family, mu)
-            if key in read:
-                continue
-            read.add(key)
-            built = key in key_parts
-            if not built:
-                _, key_parts[key], seconds = _key_pass(key, max_n)
-            yield key_parts[key], 0.0 if built else seconds
 
 
 def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
@@ -518,13 +504,14 @@ def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
     to max_n, or None.
 
     The guard sums over the families the modelled time of printing, and of
-    the passes that count_tables builds, each store key once (_pass_costs).
-    Each family's listing reads its own keys, so their parts are summed per
-    family.  An n whose step term alone passes the budget, by an exact
-    integer comparison, and a k over PASS_PARTS_LIMIT are refused first, so
-    that no input is too large to refuse at once.  The types of G are
-    listed one at a time and the sums checked after each new pass key, so
-    that a large k is refused without k! or the p(k) types.
+    the passes that count_tables builds, each store key once (_key_pass) in
+    the order count_tables first reads it (_key_reads).  Each family's
+    listing reads its own keys, so their parts are summed per family.  An n
+    whose step term alone passes the budget, by an exact integer
+    comparison, and a k over PASS_PARTS_LIMIT are refused first, so that no
+    input is too large to refuse at once.  The types of G are listed one at
+    a time, and the sums checked after each new pass key, so that a large k
+    is refused without k! or the p(k) types.
     """
     too_slow = (
         f"the passes and printing would take over {PASS_SECONDS_LIMIT:g} s, "
@@ -538,11 +525,18 @@ def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
         return too_many
     seconds = sum(_print_seconds(family, max_n) for family in families)
     parts = 0
-    for pass_parts, pass_seconds in _pass_costs(families, max_n):
-        parts += pass_parts
+    key_parts: dict = {}  # store key: the parts of its passes
+    read = set()  # (family index, store key)
+    for i, _, key in _key_reads(families):
+        if (i, key) in read:
+            continue
+        read.add((i, key))
+        if key not in key_parts:
+            _, key_parts[key], key_seconds = _key_pass(key, max_n)
+            seconds += key_seconds
+        parts += key_parts[key]
         if parts > PASS_PARTS_LIMIT:
             return too_many
-        seconds += pass_seconds
         if seconds > PASS_SECONDS_LIMIT:
             return too_slow
     return None
@@ -690,7 +684,7 @@ def _table_bytes(table: tuple) -> int:
 
 
 class _PassStore:
-    """Every table that count_tables reads, one per store key (_store_key):
+    """Every table that count_tables reads, one per store key (_key_reads):
     (g, valuations) for a _fixed_point_table pass, ("unrooted", valuations)
     for an _unrooted_table, which sums its D, half and rotated passes.
     A pass depends on its key only, never on the family, and entry n is
@@ -736,7 +730,7 @@ def count_tables(families: Iterable[TanglegramFamily], max_n: int) -> list[list[
     weighted by its number of elements, of the sum over lam |- n of
     n!/z_lam times the product over the parts j of mu of a_{lam^j}, where
     a is r or u.  Each mu reads the one table of its store key
-    (_store_key) that holds that sum for each n: _fixed_point_table for
+    (_key_reads) that holds that sum for each n: _fixed_point_table for
     rooted trees, and _unrooted_table for unrooted ones, which holds the
     lam = 3 nu too.  So the weighted total divides by
     |G| n! alone.
@@ -750,17 +744,13 @@ def count_tables(families: Iterable[TanglegramFamily], max_n: int) -> list[list[
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     families = list(families)
-    readers: dict = {}  # store key: [(family index, weight)], first read first
-    for i, family in enumerate(families):
-        weights: Counter = Counter()
-        for mu in family.group_types():
-            weights[_store_key(family, mu)] += family.group_elements(mu)
-        for key, weight in weights.items():
-            readers.setdefault(key, []).append((i, weight))
+    readers: dict = {}  # store key: {family index: weight}, first read first
+    for i, mu, key in _key_reads(families):
+        readers.setdefault(key, Counter())[i] += families[i].group_elements(mu)
     totals = [[0] * (max_n + 1) for _ in families]
-    for key, reads in readers.items():
+    for key, weights in readers.items():
         sums = _passes.get(key, max_n, _key_pass(key, max_n)[0])
-        for i, weight in reads:
+        for i, weight in weights.items():
             total = totals[i]
             for n in range(families[i].min_n, max_n + 1):
                 total[n] += weight * sums[n]
@@ -809,26 +799,6 @@ def wedderburn_etherington(N: int) -> list[int]:
             s += a[n // 2]
         a[n] = _divide(s, 2, f"tree count at {n}")
     return a
-
-
-def unrooted_from_rooted(rooted: list[int]) -> list[int]:
-    """Counts of unlabeled unrooted binary trees by leaf number, from
-    rooted[n], those of rooted ones for n <= N (rooted[0] = 0), by Otter's
-    dissymmetry step on ordinary generating functions:
-
-      U = (R^3 + 3 R(x) R(x^2) + 2 R(x^3)) / 6 + x R + R - R^2 - x
-
-    Index n of the returned list is the coefficient of x^n, 0 for n <= 1."""
-    r = rooted
-    square = [sum(r[i] * r[n - i] for i in range(1, n)) for n in range(len(r))]
-    out = [0] * len(r)
-    for n in range(2, len(r)):
-        cube = sum(r[i] * square[n - i] for i in range(1, n - 1))
-        pairs = sum(r[n - 2 * i] * r[i] for i in range(1, (n + 1) // 2))
-        triples = r[n // 3] if n % 3 == 0 else 0
-        h3 = _divide(cube + 3 * pairs + 2 * triples, 6, f"unrooted tree count at {n}")
-        out[n] = h3 + r[n - 1] + r[n] - square[n]
-    return out
 
 
 def labeled_counts(n: int) -> tuple[int, int]:

@@ -2,8 +2,9 @@
 the binary partitions that the reference sums run over, a reference
 binary-partition pass that sums four-factor products, a reference
 no-leaf pass that carries the dissymmetry terms (S, r, half), the
-unrooted route that the two make together, and the argparse parser that
-the command line's own parser must read argv like."""
+unrooted route that the two make together, Otter's dissymmetry step on the
+unlabeled tree counts, and the argparse parser that the command line's own
+parser must read argv like."""
 
 import argparse
 import math
@@ -238,6 +239,28 @@ def reference_unrooted_table(valuations, max_n):
     for n in range(2, max_n + 1):
         table[n] = (-1) ** parts * leaf[n] + no_leaf[n] * (2 * n - 3) ** parts
     return table
+
+
+def unrooted_from_rooted(rooted: list[int]) -> list[int]:
+    """Counts of unlabeled unrooted binary trees by leaf number, from
+    rooted[n], those of rooted ones for n <= N (rooted[0] = 0), by Otter's
+    dissymmetry step on ordinary generating functions (Otter, The number of
+    trees, 1948):
+
+      U = (R^3 + 3 R(x) R(x^2) + 2 R(x^3)) / 6 + x R + R - R^2 - x
+
+    Index n of the returned list is the coefficient of x^n, 0 for n <= 1."""
+    r = rooted
+    square = [sum(r[i] * r[n - i] for i in range(1, n)) for n in range(len(r))]
+    out = [0] * len(r)
+    for n in range(2, len(r)):
+        cube = sum(r[i] * square[n - i] for i in range(1, n - 1))
+        pairs = sum(r[n - 2 * i] * r[i] for i in range(1, (n + 1) // 2))
+        triples = r[n // 3] if n % 3 == 0 else 0
+        h3, rest = divmod(cube + 3 * pairs + 2 * triples, 6)
+        assert not rest, f"h3 at {n} is not an integer"
+        out[n] = h3 + r[n - 1] + r[n] - square[n]
+    return out
 
 
 def reference_parser() -> argparse.ArgumentParser:

@@ -474,16 +474,25 @@ class TestGf:
             "internal error: NonIntegerCount: unrooted-chain(k=1) evaluated to non-integer 1/2"
         )
 
-    # gf U reads the unrooted pass of one tree, not Otter's step on gf R
-    def test_u_is_not_otters_step(self, capsys, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("gf U took Otter's step")
+    # gf U reads the unrooted pass of one tree; Otter's step on gf R is a
+    # test helper, not a route of the package
+    def test_u_is_not_otters_step(self):
+        assert not hasattr(species, "unrooted_from_rooted")
 
-        monkeypatch.setattr(species, "unrooted_from_rooted", forbidden)
-        code, out, _ = run(capsys, "gf", "U", "--max-n", "40")
-        assert code == 0
-        values = [int(line.split("\t")[2]) for line in out.splitlines()[1:]]
-        assert values == species.closed_form_cycle_index(40, True).unlabeled_gf()[2:]
+    # gf is counts of the chain of one tree with its rows relabelled: the
+    # same text in every format, and the same exit code where it refuses
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
+    @pytest.mark.parametrize("which, kind", [("R", "chain"), ("U", "unrooted-chain")])
+    def test_is_counts_of_the_chain_of_one_tree(self, capsys, which, kind, fmt):
+        for max_n in range(61):
+            code, out, _ = run(capsys, "gf", which, "--max-n", str(max_n), "--format", fmt)
+            expected = run(
+                capsys, "counts", "--family", kind, "--k", "1", "--max-n", str(max_n),
+                "--format", fmt,
+            )
+            label = f"{kind}(k=1)"
+            assert (code, out) == (expected[0], expected[1].replace(label, f"{which}-unlabeled"))
+            assert code == (0 if max_n >= 1 + (which == "U") else 2), max_n
 
 
 class TestVerify:
@@ -699,7 +708,7 @@ class TestCommandLine:
             (["counts", "--family", "rooted-ordered", "--family", "unrooted-ordered",
               "--max-n", "600"], "count_tables"),
             (["zindex", "U", "--max-degree", "40"], "closed_form_cycle_index"),
-            (["gf", "U", "--max-n", "40"], "count_table"),
+            (["gf", "U", "--max-n", "40"], "count_tables"),
         ],
         ids=["counts", "zindex", "gf"],
     )

@@ -27,6 +27,7 @@ from tanglecount import (
     power_type,
     r_closed_form,
     r_coefficient,
+    u_direct,
     z,
 )
 from tanglecount import oracle
@@ -388,6 +389,16 @@ class TestFixedCounts:
                 counts
             ), (unrooted, n)
         assert len(PARENT_TABLES) == 13
+
+    # the closed forms that the counts read, against the trees they count,
+    # at every cycle type up to the oracle's guard
+    @pytest.mark.parametrize("unrooted", [False, True])
+    def test_match_the_closed_forms(self, unrooted):
+        closed_form = u_direct if unrooted else r_closed_form
+        for n in range(1 + unrooted, ORACLE_LIMIT + 1):
+            table = fixed_counts(n, unrooted)
+            for lam in partitions_of(n):
+                assert table[lam] == closed_form(lam), (n, lam)
 
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):

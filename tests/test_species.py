@@ -17,6 +17,7 @@ from helpers import (
     reference_u,
     reference_unrooted_table,
     series,
+    unrooted_from_rooted,
 )
 from tanglecount import (
     ROOTED_ORDERED,
@@ -684,7 +685,7 @@ class TestCountTable:
         # ones by another route, the lam = 3 nu its R(x^3) term
         N = 300
         table = count_table(unrooted_chain(1), N)
-        assert table == species.unrooted_from_rooted(count_table(chain(1), N))
+        assert table == unrooted_from_rooted(count_table(chain(1), N))
 
     # ordered k-tuples of unrooted trees, read through the unrooted pass of
     # 1^k alone, against the oracle's orbit count
@@ -743,7 +744,7 @@ class TestCountTable:
             count_table(family, 5)
         # the guard's listing reads the same keys
         with pytest.raises(ValueError, match=f"unrooted pass key {key}"):
-            list(species._pass_costs([family], 5))
+            list(species._key_reads([family]))
 
     def test_chain_pass_parts(self):
         # the 769 passes of k = 30 have 9013 parts, those of k = 31 over 10000
@@ -802,7 +803,8 @@ class TestCountTable:
         ],
     )
     def test_pass_model_within_15_percent(self, family, max_n, measured):
-        model = sum(seconds for _, seconds in species._pass_costs([family], max_n))
+        keys = dict.fromkeys(key for _, _, key in species._key_reads([family]))
+        model = sum(species._key_pass(key, max_n)[2] for key in keys)
         assert abs(model / measured - 1) <= 0.15
 
     # printing the whole table in decimal, timed on the same host
@@ -844,8 +846,18 @@ class TestCountTable:
             raise AssertionError("modelled past the step bound")
 
         monkeypatch.setattr(species, "_print_seconds", forbidden)
-        monkeypatch.setattr(species, "_pass_costs", forbidden)
+        monkeypatch.setattr(species, "_key_reads", forbidden)
+        monkeypatch.setattr(species, "_key_pass", forbidden)
         assert "printing" in species.table_guard([ROOTED_ORDERED], max_n)
+
+    def test_guard_lists_the_types_lazily(self, monkeypatch):
+        # S_10000 has p(10000) types: the guard refuses on parts after the
+        # first few, and never counts the elements of a type
+        def forbidden(*args):
+            raise AssertionError("group_elements called by the guard")
+
+        monkeypatch.setattr(TanglegramFamily, "group_elements", forbidden)
+        assert "parts" in species.table_guard([chain_unordered(10_000)], 2)
 
     def test_non_integer_count_message(self):
         # total/divisor as given, without reducing the fraction
