@@ -26,21 +26,22 @@ part of lam is a power of 2, so count_tables sums over binary partitions,
 one pass per group of the mu that need the same pass (_key_reads), built
 once for all the families of one call.
 
-u_lam vanishes unless lam is binary or 3 times a binary partition (and
-lam^2 lies in that support only when lam does), and on that support it
-follows from r by two rules (u_direct): on a binary lam, a step that the
-dissymmetry decomposition of the unrooted species gives as each part
-joins a lam of size m, u' = (2m - 3) u + half and half' = 2 (m - 1) half
-with half = 2^l(lam) r_{lam/2}; on lam = 3 nu, root the tree at the
-vertex whose three branches the permutation rotates.  The step is
-diagonal in d = u - half, d' = (2m - 3) d, so D = 3d and half are
-products over the parts of lam, as r is, and 3u = D + 3 half.  Each rule
-gives binary-partition passes of one running product, the same pass as
-r's with other factors, so no term is summed one lam at a time: the
-binary lam are the passes of D^(k-i) half^i, i = 0..k, for mu = 1^k and
-of D and half for mu = (2), each from the empty lam up, and the lam = 3 nu
-a rooted pass over nu, with a power of 3 per part, that _unrooted_table
-adds in: one table per pass key for either tree kind.
+u_lam vanishes unless lam is binary or 3 times a binary partition, and
+on that support it follows from r by two rules (u_direct): on a binary
+lam, a step that the dissymmetry decomposition of the unrooted species
+gives as each part joins a lam of size m, u' = (2m - 3) u + half and
+half' = 2 (m - 1) half with half = 2^l(lam) r_{lam/2}; on lam = 3 nu,
+root the tree at the vertex whose three branches the permutation rotates.
+The step is diagonal in d = u - half, d' = (2m - 3) d, so D = 3d and half
+are products over the parts of lam, as r is, and 3u = D + 3 half.  So
+every table, of either tree kind, sums passes of one shape: a running
+product over binary partitions (_fixed_point_table), r's or D's or
+half's per part of mu, and no term is summed one lam at a time.  The lam
+that an unrooted mu reads fall into classes (_unrooted_classes) by which
+lam^j are binary and which 3 times binary, each class one pass per
+product of D and half, over lam / 3 where some lam^j is 3 times binary:
+for 1^k, the passes of D^(k-i) half^i, i = 0..k, over the binary lam,
+and one over the lam = 3 nu, whose parts carry r's factors and powers of 3.
 
 No count goes through a series solve, and cycle_index loads only when a
 series is asked for.  closed_form_cycle_index reads either cycle index off
@@ -405,7 +406,7 @@ PRINT_SECONDS = 1.8e-11
 PASS_SECONDS_LIMIT = 40.0  # between chain-unordered(9) and (10) to 600
 # The guard lists G's cycle types until the parts of the passes they read
 # would pass this bound (k <= 30 for S_k, and k <= 99 for the unrooted chains,
-# whose table runs k + 1 passes of k parts), which takes 0.2 s or less.
+# whose table runs k + 2 passes of k parts), which takes 0.2 s or less.
 PASS_PARTS_LIMIT = 10_000
 
 
@@ -436,9 +437,8 @@ def _pass_seconds(parts: int, max_n: int) -> float:
 def _print_seconds(family: TanglegramFamily, max_n: int) -> float:
     """The modelled time of printing the counts of the family to max_n:
     the count at n has about d(n) = log10(((2n-3)!!)^k / (n! |G|)) digits,
-    taken with lgamma, so that neither k! nor the counts are computed."""
-    k = family.trees
-    log_order = math.lgamma(k + 1) if _KINDS[family.kind].symmetric else 0.0
+    taken with lgamma, so that the counts are not computed."""
+    k, log_order = family.trees, math.log(family.group_order)
     digits2 = 0.0
     for n in range(family.min_n, max_n + 1):
         # (2n-3)!! = (2n-2)! / (2^(n-1) (n-1)!)
@@ -452,20 +452,17 @@ def _key_reads(families: list[TanglegramFamily]) -> Iterator[tuple[int, Partitio
     """(family index, mu, store key) for each cycle type mu of each family's
     G in turn, one type at a time: the reads that count_tables weighs and
     table_guard charges.  The store key, that of the stored table the family
-    reads for mu, is _pass_key(mu) on rooted trees and ("unrooted",
-    valuations) on unrooted ones.  _unrooted_table expands a product of
-    alike u_{lam^j}, so it holds only the keys with g = 1 and all valuations
-    equal; any other unrooted key raises ValueError."""
+    reads for mu, is _pass_key(mu) on rooted trees, and on unrooted ones
+    ("unrooted", the sorted pairs (2-adic valuation, gcd(3g, j)) of the
+    parts j of mu), all that _unrooted_classes reads of mu."""
     for i, family in enumerate(families):
         for mu in family.group_types():
             g, valuations = _pass_key(mu)
-            if not family.unrooted:
-                yield i, mu, (g, valuations)
-            elif g != 1 or len(set(valuations)) > 1:
-                raise ValueError(f"{family.label} reads the unrooted pass key {(g, valuations)}, "
-                                 "which has no table: only g = 1 with equal valuations")
+            if family.unrooted:
+                pairs = sorted((_two_adic(j), math.gcd(3 * g, j)) for j in mu.parts)
+                yield i, mu, ("unrooted", tuple(pairs))
             else:
-                yield i, mu, ("unrooted", valuations)
+                yield i, mu, (g, valuations)
 
 
 def _odd_lengths(g: int) -> list[int]:
@@ -478,25 +475,30 @@ def _key_pass(key: tuple, max_n: int) -> tuple:
     table to the max_n it is called with, the parts of the passes that
     build it, and the modelled time of building it to max_n.
 
-    A rooted key's pass runs one sub-pass for each odd e | g, each charged
-    as a whole pass: on one host the passes of g = 3, 5 and 15 took 2.2, 1.9
-    and 3.3 times that of g = 1.  An unrooted key's table runs p + 1 passes
-    of p parts, of D^p and of p products with half, which vanishes unless
-    every part of lam is even, and a rotated pass to max_n // 3.  It took
-    1.3 to 2.6 times the rooted pass of p parts for p = 1 to 10, and 11.6
-    times at p = 100, and is charged sqrt(p + 1) times it, or (p + 1) / 8.7
-    times, the ratio at p = 100, from p = 75 on, where that is more.  Even
-    so the table of p = 99 to n = 224 took about 1.2 times its charge.  At
-    p = 1000 it took 103 times, but the parts bound, which counts all
-    (p + 1) p parts, stops at p = 99."""
-    tag, valuations = key
-    parts = len(valuations)
-    seconds = _pass_seconds(parts, max_n)
+    A key's table runs, for each of its classes, one pass of p parts per
+    product of D and half (q of them: p + 1 for the all-binary class of 1^p,
+    1 for a rooted key and for a class with no binary lam^j), each with
+    one sub-pass per odd cycle length.  A sub-pass is charged as a whole
+    pass to max_n, or to max_n // 3 over lam / 3: on one host the rooted
+    passes of g = 3, 5 and 15 took 2.2, 1.9 and 3.3 times that of g = 1.
+    The q passes of a class took 1.3 to 2.6 times one pass for 1^p, p = 1
+    to 10, and 11.6 times at p = 100, and are charged sqrt(q) times it, or
+    q / 8.7 times, the ratio at p = 100, from q = 76 on, where that is more.
+    Even so the table of p = 99 to n = 224 took about 1.2 times its charge.
+    At p = 1000 it took 103 times, but the parts bound, which counts all
+    the p q parts, stops at p = 99."""
+    tag, per_part = key  # valuations, or unrooted pairs, one per part of mu
     if tag == "unrooted":
-        ratio = max(math.sqrt(parts + 1), (parts + 1) / 8.7)
-        seconds = ratio * seconds + _pass_seconds(parts, max_n // 3)
-        return partial(_unrooted_table, valuations), (parts + 1) * parts, seconds
-    return partial(_fixed_point_table, tag, valuations), parts, len(_odd_lengths(tag)) * seconds
+        build, classes = partial(_unrooted_table, per_part), _unrooted_classes(per_part)
+    else:
+        lengths, parts = _odd_lengths(tag), tuple((b, _r_factor, 1) for b in per_part)
+        build, classes = partial(_fixed_point_table, lengths, parts), [(lengths, 1, [(1, parts)])]
+    seconds = sum(
+        len(lengths) * max(math.sqrt(len(products)), len(products) / 8.7)
+        * _pass_seconds(len(per_part), max_n // scale)
+        for lengths, scale, products in classes
+    )
+    return build, len(per_part) * sum(len(products) for _, _, products in classes), seconds
 
 
 def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
@@ -556,60 +558,52 @@ def _half_factor(m: int) -> int:
     return 2 * m - 2  # half' = 2 (m - 1) half
 
 
-def _fixed_point_table(
-    g: int,
-    valuations: tuple[int, ...],
-    max_n: int,
-    rotated: bool = False,
-    factors: tuple | None = None,
-) -> list[int]:
-    """Index n holds n! times the sum over lam |- n of
-    prod over parts j of mu of r_{lam^j}, divided by z_lam, for any mu with
-    _pass_key(mu) = (g, valuations); index 0 holds the empty lam's 1.
+def _fixed_point_table(lengths: list[int], parts: tuple, max_n: int) -> list[int]:
+    """Index n holds n! times the sum over the lam |- n with parts e * 2^a,
+    e in lengths, of the product over the parts (b, f, rho) of mu of the
+    running product of f over lam^j, divided by z_lam; index 0 holds the
+    empty lam's 1.  A rooted key (g, valuations) reads the pass of the odd
+    e | g, r's factor and rho = 1: those lam are the ones whose lam^j are
+    all binary, off which every r_{lam^j} vanishes.  _unrooted_table sums
+    the passes of its classes (_unrooted_classes).
 
-    With rotated, each part of nu also carries 3^(p - 1), where p, the sum
-    over the parts j of mu of 2^min(a, b) below, counts the parts it leaves
-    in all the nu^j together: _unrooted_table reads that pass (g = 1) for
-    the unrooted terms of the lam = 3 nu.
-
-    The product vanishes unless every lam^j is binary, which holds exactly
-    when each part of lam is e * 2^a with e dividing g, the odd part of
-    gcd(mu).  Then lam^j = nu^j for the binary shadow nu of lam, which
+    On those lam, lam^j = nu^j for the binary shadow nu of lam, which
     replaces each part e * 2^a by e parts 2^a, so the pass runs over binary
     nu only: part sizes 2^a from the smallest up, the running size as the
-    state, and the lam behind each nu entering one odd e | g at a time, its
+    state, and the lam behind each nu entering one odd e at a time, its
     j cycles of length e * 2^a as j*e parts 2^a of nu.
 
     Under j = 2^b * o a part 2^a of nu splits into 2^c parts of size
     2^(a-c), c = min(a, b), so only b matters.  Built from the smallest part
-    up, each piece gets a factor of the running size m below it, r's
-    product formula's max(2m - 1, 1).  factors, one per part of mu in the
-    order of valuations, replace r's: _unrooted_table's passes.
+    up, each piece gets a factor f of the running size m below it, r's
+    product formula's max(2m - 1, 1).  When some rho is 3, n counts the
+    points of lam / 3 instead: a part of rho 1 reads the three pieces of
+    lam^j that each piece of (lam / 3)^j makes, from 3m up, and a part of
+    rho 3 reads (lam / 3)^j with a factor 3 per piece, and z_lam is 3^l
+    times z_{lam / 3}, for l the length of lam.
     """
-    odd_lengths = _odd_lengths(g)
-    factors = factors or (_r_factor,) * len(valuations)
+    scale = max(rho for _, _, rho in parts)
     table, s, a = [1] + [0] * max_n, 1, 0
     while s <= max_n:
-        splits = Counter((min(a, b), f) for b, f in zip(valuations, factors)).items()
-        turns = 3 ** (sum(times << c for (c, _), times in splits) - 1) if rotated else 1
+        splits = Counter((min(a, b), f, rho) for b, f, rho in parts).items()
         # pieces[t]: product over the parts j of mu of the factors that one
         # part s of nu adds when t points lie below it
         pieces = []
         for t in range(max_n - s + 1):
-            factor = turns
-            for (c, f), times in splits:
-                size = s >> c
-                split = 1
-                for i in range(1 << c):
-                    split *= f(t + i * size)
+            factor = 1
+            for (c, f, rho), times in splits:
+                spread, split = scale // rho, 1
+                for m in range(spread * t, spread * (t + s), s >> c):
+                    split *= rho * f(m)
                 factor *= split**times
             pieces.append(factor)
-        # the cycles of lam of length e*s, one odd e | g after another: the
+        # the cycles of lam of length e*s, one odd e after another: the
         # parts s of nu are interchangeable, so the lengths may enter in turn
-        for e in odd_lengths:
+        for e in lengths:
             step = e * s
-            # blocks[t]: the product of the e pieces from t up
-            blocks = [math.prod(pieces[t : t + step : s]) for t in range(max_n - step + 1)]
+            # blocks[t]: the product of the e pieces from t up, over the 3 that
+            # z_lam has per cycle more than z_{lam / 3} when the pass is over lam / 3
+            blocks = [math.prod(pieces[t : t + step : s]) // scale for t in range(max_n - step + 1)]
             # top down, so that each base is read before a smaller one adds to it
             for base in range(max_n - step, -1, -1):
                 x = table[base]
@@ -628,37 +622,58 @@ def _fixed_point_table(
     return table
 
 
-def _unrooted_table(valuations: tuple[int, ...], max_n: int) -> list[int]:
-    """Index n >= 2 holds n! times the sum over lam |- n of
-    prod over parts j of mu of u_{lam^j}, divided by z_lam, for mu = 1^p,
-    any p >= 1 (valuations (0,) * p), or (2) (valuations (1,)); indices 0
-    and 1 hold 0.
+def _unrooted_classes(pairs: tuple) -> list[tuple]:
+    """(lengths, scale, products) for each class of the lam that the
+    unrooted key of pairs reads (_key_reads): the odd lengths of its passes,
+    3 if they run over lam / 3, else 1, and (weight, parts) for each pass.
 
-    On the binary lam, U = 3u = D + 3 half, where D = 3 (u - half) and
-    half are products over the parts of lam (see u_direct), so a product of
-    p alike U_{lam^j} is the sum over i of C(p, i) 3^i D^(p-i) half^i:
-    scalar passes of D^(p-i) half^i, i = 0..p, for 1^p, of D and half of
-    lam^2 for (2).  From the empty lam's 1 each pass gives D_lam, and -half_lam
-    for every lam but (1), where it gives 2 against half's 1: a part added
-    at m = 1 has half's factor 2m - 2 = 0, so that entry reaches no n >= 2,
-    the only entries read.  The lam = 3 nu add n!/m! times the rotated pass
-    over nu |- m to 3^p times the sum at n = 3m, as z_{3nu} = 3^l(nu) z_nu
-    and u_{3nu^j} = 3^(l(nu^j)-1) r_{nu^j} (see u_direct), so one exact
-    division by 3^p ends the table.
+    u_{lam^j} vanishes unless lam^j is binary or 3 times binary, so each odd
+    part E of lam divides 3g, and rho_j = E / gcd(E, j), 1 or 3, is the same
+    for all of them: lam^j is binary if rho_j = 1, else 3 times binary.  The
+    E with one vector of rho are a class.  A part with rho_j = 3 takes
+    3 u_{3 nu^j} = 3^l(nu^j) r_{nu^j} (u_direct) for lam = 3 nu.  One with
+    rho_j = 1 takes 3u = D + 3 half of lam^j, and the parts of one
+    valuation, which read the same lam^j, expand their product binomially,
+    with D and -half the passes of _d_factor and _half_factor."""
+    g = math.gcd(*(h for _, h in pairs))
+    by_rho: dict = {}  # rho vector: the odd E | 3g with it
+    for e in _odd_lengths(3 * g):
+        by_rho.setdefault(tuple(e // math.gcd(e, h) for _, h in pairs), []).append(e)
+    classes = []
+    for rhos, odd in by_rho.items():
+        scale = max(rhos)
+        products = [(1, tuple((b, _r_factor, 3) for (b, _), rho in zip(pairs, rhos) if rho == 3))]
+        for b, c in Counter(b for (b, _), rho in zip(pairs, rhos) if rho == 1).items():
+            products = [
+                (weight * math.comb(c, i) * (-3) ** i,
+                 parts + ((b, _d_factor, 1),) * (c - i) + ((b, _half_factor, 1),) * i)
+                for weight, parts in products for i in range(c + 1)
+            ]
+        classes.append(([e // scale for e in odd], scale, products))
+    return classes
+
+
+def _unrooted_table(pairs: tuple, max_n: int) -> list[int]:
+    """Index n >= 2 holds n! times the sum over lam |- n of
+    prod over parts j of mu of u_{lam^j}, divided by z_lam, for the mu of
+    the unrooted key of pairs (_key_reads); indices 0 and 1 hold 0.
+
+    It sums the weighted passes of its classes (_unrooted_classes), which
+    make 3^p times the product.  From the empty lam's 1 a pass gives D_lam,
+    and -half_lam for every lam but (1), where it gives 2 against half's 1:
+    a part added at m = 1 has half's factor 2m - 2 = 0, so that entry
+    reaches no n >= 2, the only entries read.  A pass over nu |- m adds
+    n!/m! times its entry at n = 3m, so one exact division by 3^p ends the
+    table.
     """
-    parts = len(valuations)
     sums = [0] * (max_n + 1)
-    for i in range(parts + 1):
-        factors = (_d_factor,) * (parts - i) + (_half_factor,) * i
-        weight = math.comb(parts, i) * (-3) ** i
-        for n, x in enumerate(_fixed_point_table(1, valuations, max_n, factors=factors)):
-            sums[n] += weight * x
-    rotated = _fixed_point_table(1, valuations, max_n // 3, rotated=True)
-    for m in range(1, max_n // 3 + 1):
-        sums[3 * m] += math.perm(3 * m, 2 * m) * rotated[m]
+    for lengths, scale, products in _unrooted_classes(pairs):
+        for weight, parts in products:
+            for m, x in enumerate(_fixed_point_table(lengths, parts, max_n // scale)):
+                sums[scale * m] += weight * math.perm(scale * m, scale * m - m) * x
     table = [0] * (max_n + 1)
     for n in range(2, max_n + 1):
-        table[n] = _divide(sums[n], 3**parts, f"sum of u at {n}")
+        table[n] = _divide(sums[n], 3 ** len(pairs), f"sum of u at {n}")
     return table
 
 
@@ -685,8 +700,8 @@ def _table_bytes(table: tuple) -> int:
 
 class _PassStore:
     """Every table that count_tables reads, one per store key (_key_reads):
-    (g, valuations) for a _fixed_point_table pass, ("unrooted", valuations)
-    for an _unrooted_table, which sums its D, half and rotated passes.
+    (g, valuations) for a _fixed_point_table pass, ("unrooted", pairs) for
+    an _unrooted_table, which sums the passes of its classes.
     A pass depends on its key only, never on the family, and entry n is
     summed from smaller bases only, so a table built to the largest max_n
     asked for so far answers any smaller max_n by indexing; a larger max_n
@@ -731,9 +746,9 @@ def count_tables(families: Iterable[TanglegramFamily], max_n: int) -> list[list[
     n!/z_lam times the product over the parts j of mu of a_{lam^j}, where
     a is r or u.  Each mu reads the one table of its store key
     (_key_reads) that holds that sum for each n: _fixed_point_table for
-    rooted trees, and _unrooted_table for unrooted ones, which holds the
-    lam = 3 nu too.  So the weighted total divides by
-    |G| n! alone.
+    rooted trees, and _unrooted_table for unrooted ones.  So the weighted
+    total divides by |G| n! alone, for any G that a family gives through
+    group_types, group_elements and group_order, on either tree kind.
 
     A table depends on its key only, never on the family, so each distinct
     key of all the families is read once, in the order they first read it,

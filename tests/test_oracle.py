@@ -28,6 +28,7 @@ from tanglecount import (
     r_closed_form,
     r_coefficient,
     u_direct,
+    unrooted_tree_cycle_index,
     z,
 )
 from tanglecount import oracle
@@ -390,15 +391,17 @@ class TestFixedCounts:
             ), (unrooted, n)
         assert len(PARENT_TABLES) == 13
 
-    # the closed forms that the counts read, against the trees they count,
-    # at every cycle type up to the oracle's guard
+    # the closed forms that the counts read, and the solved series, against
+    # the trees they count, at every cycle type up to the oracle's guard
     @pytest.mark.parametrize("unrooted", [False, True])
     def test_match_the_closed_forms(self, unrooted):
         closed_form = u_direct if unrooted else r_closed_form
+        solve = unrooted_tree_cycle_index if unrooted else binary_tree_cycle_index
+        series = solve(ORACLE_LIMIT)
         for n in range(1 + unrooted, ORACLE_LIMIT + 1):
             table = fixed_counts(n, unrooted)
             for lam in partitions_of(n):
-                assert table[lam] == closed_form(lam), (n, lam)
+                assert table[lam] == closed_form(lam) == r_coefficient(lam, series), (n, lam)
 
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):

@@ -60,16 +60,21 @@ def unrooted_chain(k):
 
 
 class OneCycleType:
-    """Rooted trees read through one cycle type mu alone: the part of a
-    family that the guard's listing reads, to time the pass of one key."""
+    """Trees, rooted unless unrooted, read through one cycle type mu alone:
+    the part of a family that the guard's listing reads, to time the pass
+    of one key."""
 
-    unrooted = False
-
-    def __init__(self, mu):
+    def __init__(self, mu, unrooted=False):
         self.mu = Partition(mu)
+        self.unrooted = unrooted
 
     def group_types(self):
         return iter((self.mu,))
+
+
+def store_key(mu, unrooted):
+    """The store key that trees of the kind read for the cycle type mu."""
+    return next(species._key_reads([OneCycleType(mu, unrooted)]))[2]
 
 
 class GroupFamily:
@@ -545,7 +550,8 @@ class TestCountTable:
 
     # the mu of chain-unordered(15) include (15), (5,5,5) and (3,3,3,3,3);
     # the unrooted families read 1^2 and (2), whose unrooted table is checked
-    # against the leaf and no-leaf passes it replaced plus the rotated pass.
+    # against the leaf and no-leaf passes it replaced plus the rotated pass,
+    # and rotated is the pass with rho = 3 on every part, over lam / 3.
     # The reference tables carry 2n - 1 per part of mu, 2n - 3 for unrooted
     # trees, which the pass tables leave out
     @pytest.mark.parametrize(
@@ -576,12 +582,14 @@ class TestCountTable:
                 rotated = reference_fixed_point_table(1, valuations, size // 3, rotated=True)
                 for m in range(1, size // 3 + 1):
                     expected[3 * m] += math.perm(3 * m, 2 * m) * rotated[m]
-                table = species._unrooted_table(valuations, size)
+                table = species._unrooted_table(store_key(mu, True)[1], size)
                 assert len(table) == len(expected), size
                 for m, x in enumerate(table):
                     assert x * (2 * m - 3) ** parts == expected[m], (size, m)
         else:
-            table = species._fixed_point_table(g, valuations, n, rotated)
+            rho = 3 if rotated else 1
+            factors = tuple((b, species._r_factor, rho) for b in valuations)
+            table = species._fixed_point_table(species._odd_lengths(g), factors, n)
             expected = reference_fixed_point_table(g, valuations, n, rotated=rotated)
             assert len(table) == len(expected)
             assert table[0] == expected[0] == 1
@@ -589,29 +597,30 @@ class TestCountTable:
                 assert table[m] * (2 * m - 1) ** parts == expected[m], m
 
     # every table holds n! times the sum over all lam |- n of the product
-    # over the parts j of mu of a_{lam^j}, divided by z_lam, and nothing else
+    # over the parts j of mu of a_{lam^j}, divided by z_lam, and nothing
+    # else, on either tree kind.  From (3, 1) on, the unrooted tables read
+    # the classes with rho = 3 on some parts and 1 on others, and (9, 3)
+    # the class of odd length 9 = 3 * 3, which Burnside at n <= 8 never sees
     @pytest.mark.parametrize(
-        "mu", [(1, 1), (2,), (1, 1, 1), (2, 1), (3,), (4, 2), (3, 3)],
+        "mu",
+        [(1, 1), (2,), (1, 1, 1), (2, 1), (3,), (4, 2), (3, 3), (3, 1), (6,), (3, 3, 3), (9, 3)],
         ids=lambda mu: ",".join(map(str, mu)),
     )
     def test_pass_table_is_the_sum_over_all_cycle_types(self, mu):
-        N = 14
-        mu = P(mu)
+        N = 18
 
         def expected(n, fixed):
             return sum(
-                math.factorial(n) // z(lam) * math.prod(fixed(power_type(lam, j)) for j in mu.parts)
+                math.factorial(n) // z(lam) * math.prod(fixed(power_type(lam, j)) for j in mu)
                 for lam in partitions_of(n)
             )
 
-        table = species._fixed_point_table(*species._pass_key(mu), N)
-        assert table[0] == 1  # the empty lam, where r_closed_form gives 0
-        for n in range(1, N + 1):
-            assert table[n] == expected(n, r_closed_form), n
-        if mu in (P((1, 1)), P((2,))):
-            table = species._unrooted_table(species._pass_key(mu)[1], N)
-            for n in range(N + 1):
-                assert table[n] == expected(n, u_direct), n
+        for unrooted, fixed in ((False, r_closed_form), (True, u_direct)):
+            table = species._key_pass(store_key(mu, unrooted), N)[0](N)
+            # the empty lam, where r_closed_form gives 0, holds 1 in a rooted pass
+            assert table[0] == (not unrooted)
+            for n in range(1, N + 1):
+                assert table[n] == expected(n, fixed), (unrooted, n)
 
     def test_single_tree_is_wedderburn_etherington_at_200(self):
         wet = wedderburn_etherington(200)
@@ -664,17 +673,18 @@ class TestCountTable:
         builds = []
         build = species._unrooted_table
 
-        def counted(valuations, max_n):
-            builds.append((valuations, max_n))
-            return build(valuations, max_n)
+        def counted(pairs, max_n):
+            builds.append((pairs, max_n))
+            return build(pairs, max_n)
 
         monkeypatch.setattr(species, "_unrooted_table", counted)
         monkeypatch.setattr(species, "_passes", species._PassStore())
         ordered = count_table(UNROOTED_ORDERED, 30)
-        assert builds == [((0, 0), 30)]  # mu = 1^2 only, never (2)
+        # the pairs (2-adic valuation, gcd(3g, j)) of the parts j of mu
+        assert builds == [(((0, 1), (0, 1)), 30)]  # mu = 1^2 only, never (2)
         unordered = count_table(UNROOTED_UNORDERED, 30)
         assert count_table(UNROOTED_ORDERED, 20) == ordered[:21]
-        assert builds == [((0, 0), 30), ((1,), 30)]
+        assert builds == [(((0, 1), (0, 1)), 30), (((1, 1),), 30)]
         for n in range(2, 31):
             assert ordered[n] == unrooted_support_sum(n, False), n
             assert unordered[n] == unrooted_support_sum(n, True), n
@@ -730,21 +740,30 @@ class TestCountTable:
         for n in range(2, 8):
             assert table[n] == burnside_count(klein, n), n
 
+    # groups of 3 and 4 unrooted trees whose cycle types have parts of
+    # several valuations, or divisible by 3, whose tables read the classes
+    # with rho = 3 on some parts and 1 on others
     @pytest.mark.parametrize(
-        "types, key",
+        "trees, types, pinned",
         [
-            ({(1, 1, 1): 1, (3,): 2}, r"\(3, \(0,\)\)"),  # C_3 on 3 trees
-            ({(1, 1, 1, 1): 1, (2, 1, 1): 2, (2, 2): 1}, r"\(1, \(0, 0, 1\)\)"),  # S_2 x S_2
+            (3, {(1, 1, 1): 1, (3,): 2}, None),
+            (4, {(1, 1, 1, 1): 1, (2, 1, 1): 2, (2, 2): 1}, None),
+            (3, {(1, 1, 1): 1, (2, 1): 3, (3,): 2}, [1, 1, 3, 13, 375, 29517, 4759972]),
+            (4, {(1, 1, 1, 1): 1, (2, 2): 3, (3, 1): 8},
+             [1, 1, 4, 52, 14714, 13239411, 24179288654]),
+            (4, {(1, 1, 1, 1): 1, (2, 1, 1): 6, (2, 2): 3, (3, 1): 8, (4,): 6}, None),
+            (4, {(1, 1, 1, 1): 1, (2, 1, 1): 2, (2, 2): 3, (4,): 2}, None),
+            (4, {(1, 1, 1, 1): 1, (3, 1): 2}, [1, 1, 6, 149, 57582, 52915977, 96715096969]),
         ],
-        ids=["C3", "S2xS2"],
+        ids=["C3", "S2xS2", "S3", "A4", "S4", "D4", "C3on4"],
     )
-    def test_unrooted_key_without_a_table_is_refused(self, types, key):
-        family = GroupFamily(len(next(iter(types))), types)
-        with pytest.raises(ValueError, match=f"unrooted pass key {key}"):
-            count_table(family, 5)
-        # the guard's listing reads the same keys
-        with pytest.raises(ValueError, match=f"unrooted pass key {key}"):
-            list(species._key_reads([family]))
+    def test_unrooted_group_matches_burnside(self, trees, types, pinned):
+        family = GroupFamily(trees, types)
+        table = count_table(family, 8)
+        assert table[:2] == [0, 0]
+        assert table[2:] == [burnside_count(family, n) for n in range(2, 9)]
+        if pinned:
+            assert table[2:] == pinned
 
     def test_chain_pass_parts(self):
         # the 769 passes of k = 30 have 9013 parts, those of k = 31 over 10000
@@ -756,7 +775,7 @@ class TestCountTable:
         assert "parts" in species.table_guard([chain(10**400)], 1)
         # the parts are summed over the families
         assert "parts" in species.table_guard([chain_unordered(30)] * 2, 1)
-        # an unrooted table of k trees builds k + 1 passes of k parts
+        # an unrooted table of k trees builds k + 2 passes of k parts
         assert species.table_guard([unrooted_chain(99)], 2) is None
         assert "parts" in species.table_guard([unrooted_chain(100)], 2)
 
@@ -868,6 +887,9 @@ class TestCountTable:
         assert species._divide(12, 4, "chain(k=3)") == 3
 
 
+A4 = GroupFamily(4, {(1, 1, 1, 1): 1, (2, 2): 3, (3, 1): 8})
+C3_ON_4 = GroupFamily(4, {(1, 1, 1, 1): 1, (3, 1): 2})
+
 STORE_FAMILIES = [
     ROOTED_ORDERED,
     ROOTED_UNORDERED,
@@ -902,10 +924,10 @@ class TestPassStore:
         for fam in STORE_FAMILIES:
             count_table(fam, 20)
         stored = species._passes.tables
-        unrooted = {("unrooted", (0, 0)), ("unrooted", (1,))}
+        unrooted = {("unrooted", ((0, 1), (0, 1))), ("unrooted", ((1, 1),))}
         assert unrooted <= set(stored) and len(stored) > 10
         for key, (max_n, table, size) in stored.items():
-            # (g, valuations) or ("unrooted", valuations): no rotated flag
+            # (g, valuations) or ("unrooted", pairs): no rotated flag
             assert len(key) == 2 and not any(isinstance(part, bool) for part in key)
             assert isinstance(table, tuple) and size == species._table_bytes(table)
             assert all(type(entry) is int for entry in table)
@@ -931,7 +953,7 @@ class TestPassStore:
         # S_2 and S_3 of rooted trees, 1^2, (2), 1^3, (2, 1) and (3), and
         # the unrooted 1^2 and (2), each built once
         expected = [
-            ("unrooted", (0, 0)), ("unrooted", (1,)),
+            ("unrooted", ((0, 1), (0, 1))), ("unrooted", ((1, 1),)),
             (1, (0, 0)), (1, (0, 0, 0)), (1, (0, 1)), (1, (1,)), (3, (0,)),
         ]
         assert sorted(builds, key=repr) == expected
@@ -950,6 +972,8 @@ class TestPassStore:
             [*FOUR_KINDS, chain(3), chain_unordered(3)],
             [chain_unordered(4), chain(4), ROOTED_UNORDERED, chain_unordered(2)],
             [chain_unordered(5), UNROOTED_UNORDERED, chain(1)],
+            # A_4 and C_3 on 3 of 4 unrooted trees, with the unrooted chains
+            [A4, C3_ON_4, UNROOTED_ORDERED, unrooted_chain(4)],
         ],
         ids=lambda families: "+".join(fam.label for fam in families),
     )
