@@ -37,11 +37,12 @@ are products over the parts of lam, as r is, and 3u = D + 3 half.  So
 every table, of either tree kind, sums passes of one shape: a running
 product over binary partitions (_fixed_point_table), r's or D's or
 half's per part of mu, and no term is summed one lam at a time.  The lam
-that an unrooted mu reads fall into classes (_unrooted_classes) by which
-lam^j are binary and which 3 times binary, each class one pass per
-product of D and half, over lam / 3 where some lam^j is 3 times binary:
-for 1^k, the passes of D^(k-i) half^i, i = 0..k, over the binary lam,
-and one over the lam = 3 nu, whose parts carry r's factors and powers of 3.
+that a mu reads fall into classes (_key_classes) by which lam^j are binary
+and which 3 times binary, each class one pass per product of r (rooted
+trees: one class) or of D and half, over lam / 3 where some lam^j is 3
+times binary: for 1^k on unrooted trees, the passes of D^(k-i) half^i,
+i = 0..k, over the binary lam, and one over the lam = 3 nu, whose parts
+carry r's factors and powers of 3.
 
 No count goes through a series solve, and cycle_index loads only when a
 series is asked for.  closed_form_cycle_index reads either cycle index off
@@ -59,7 +60,7 @@ import math
 import sys
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .partitions import Partition, binary_partitions, is_binary_partition, iter_partitions, z
 
@@ -388,8 +389,8 @@ SERIES_LIMIT = 40  # zindex
 # carried product, about (1 + p) n log n bits for a mu of p parts, the
 # PASS_SECONDS * (1 + p) term, and multiplies it by a block of about p log n
 # bits, the PART_SECONDS * p^1.75 term; max_n^3.2 stands in for max_n^3 log
-# max_n.  _key_pass charges a key's odd cycle lengths and the unrooted
-# passes from it.  The constants fit the 27 rows of
+# max_n.  _key_charge charges the passes of a key's classes and their odd
+# cycle lengths from it.  The constants fit the 27 rows of
 # test_pass_model_within_15_percent, all timed on one host, within 13%:
 # 13 rooted tables, 2 unrooted ones and 2 passes of one cycle type to
 # n <= 600, 3 unrooted chains to 600 and 800, and 7 tables to n = 1000 and
@@ -413,18 +414,6 @@ PASS_PARTS_LIMIT = 10_000
 def _two_adic(j: int) -> int:
     """Exponent of the largest power of 2 dividing j >= 1."""
     return (j & -j).bit_length() - 1
-
-
-PassKey = tuple[int, tuple[int, ...]]
-
-
-def _pass_key(mu: Partition) -> PassKey:
-    """What _fixed_point_table needs of mu: the odd part of gcd(mu) and the
-    sorted 2-adic valuations of its parts."""
-    g = 0
-    for j in mu.parts:
-        g = math.gcd(g, j)
-    return g >> _two_adic(g), tuple(sorted(_two_adic(j) for j in mu.parts))
 
 
 def _pass_seconds(parts: int, max_n: int) -> float:
@@ -452,17 +441,16 @@ def _key_reads(families: list[TanglegramFamily]) -> Iterator[tuple[int, Partitio
     """(family index, mu, store key) for each cycle type mu of each family's
     G in turn, one type at a time: the reads that count_tables weighs and
     table_guard charges.  The store key, that of the stored table the family
-    reads for mu, is _pass_key(mu) on rooted trees, and on unrooted ones
-    ("unrooted", the sorted pairs (2-adic valuation, gcd(3g, j)) of the
-    parts j of mu), all that _unrooted_classes reads of mu."""
+    reads for mu, is (tree kind, the sorted pairs (2-adic valuation,
+    gcd(h, j)) of the parts j of mu), for h the odd part g of gcd(mu) on
+    rooted trees, where every gcd(g, j) is g, and 3g on unrooted ones: all
+    that _key_classes reads of mu."""
     for i, family in enumerate(families):
         for mu in family.group_types():
-            g, valuations = _pass_key(mu)
-            if family.unrooted:
-                pairs = sorted((_two_adic(j), math.gcd(3 * g, j)) for j in mu.parts)
-                yield i, mu, ("unrooted", tuple(pairs))
-            else:
-                yield i, mu, (g, valuations)
+            g = math.gcd(*mu.parts)
+            h = (g >> _two_adic(g)) * (3 if family.unrooted else 1)
+            pairs = sorted((_two_adic(j), math.gcd(h, j)) for j in mu.parts)
+            yield i, mu, (TREE_KINDS[family.unrooted], tuple(pairs))
 
 
 def _odd_lengths(g: int) -> list[int]:
@@ -470,10 +458,9 @@ def _odd_lengths(g: int) -> list[int]:
     return [e for e in range(1, g + 1, 2) if g % e == 0]
 
 
-def _key_pass(key: tuple, max_n: int) -> tuple:
-    """(build, parts, seconds) of a store key: the function that builds its
-    table to the max_n it is called with, the parts of the passes that
-    build it, and the modelled time of building it to max_n.
+def _key_charge(key: tuple, max_n: int) -> tuple[int, float]:
+    """(parts, seconds) of a store key: the parts of the passes that build
+    its table, and the modelled time of building it to max_n.
 
     A key's table runs, for each of its classes, one pass of p parts per
     product of D and half (q of them: p + 1 for the all-binary class of 1^p,
@@ -487,18 +474,13 @@ def _key_pass(key: tuple, max_n: int) -> tuple:
     Even so the table of p = 99 to n = 224 took about 1.2 times its charge.
     At p = 1000 it took 103 times, but the parts bound, which counts all
     the p q parts, stops at p = 99."""
-    tag, per_part = key  # valuations, or unrooted pairs, one per part of mu
-    if tag == "unrooted":
-        build, classes = partial(_unrooted_table, per_part), _unrooted_classes(per_part)
-    else:
-        lengths, parts = _odd_lengths(tag), tuple((b, _r_factor, 1) for b in per_part)
-        build, classes = partial(_fixed_point_table, lengths, parts), [(lengths, 1, [(1, parts)])]
+    p, classes = len(key[1]), _key_classes(key)
     seconds = sum(
         len(lengths) * max(math.sqrt(len(products)), len(products) / 8.7)
-        * _pass_seconds(len(per_part), max_n // scale)
+        * _pass_seconds(p, max_n // scale)
         for lengths, scale, products in classes
     )
-    return build, len(per_part) * sum(len(products) for _, _, products in classes), seconds
+    return p * sum(len(products) for _, _, products in classes), seconds
 
 
 def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
@@ -506,7 +488,7 @@ def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
     to max_n, or None.
 
     The guard sums over the families the modelled time of printing, and of
-    the passes that count_tables builds, each store key once (_key_pass) in
+    the passes that count_tables builds, each store key once (_key_charge) in
     the order count_tables first reads it (_key_reads).  Each family's
     listing reads its own keys, so their parts are summed per family.  An n
     whose step term alone passes the budget, by an exact integer
@@ -534,7 +516,7 @@ def table_guard(families: Iterable[TanglegramFamily], max_n: int) -> str | None:
             continue
         read.add((i, key))
         if key not in key_parts:
-            _, key_parts[key], key_seconds = _key_pass(key, max_n)
+            key_parts[key], key_seconds = _key_charge(key, max_n)
             seconds += key_seconds
         parts += key_parts[key]
         if parts > PASS_PARTS_LIMIT:
@@ -562,10 +544,10 @@ def _fixed_point_table(lengths: list[int], parts: tuple, max_n: int) -> list[int
     """Index n holds n! times the sum over the lam |- n with parts e * 2^a,
     e in lengths, of the product over the parts (b, f, rho) of mu of the
     running product of f over lam^j, divided by z_lam; index 0 holds the
-    empty lam's 1.  A rooted key (g, valuations) reads the pass of the odd
-    e | g, r's factor and rho = 1: those lam are the ones whose lam^j are
-    all binary, off which every r_{lam^j} vanishes.  _unrooted_table sums
-    the passes of its classes (_unrooted_classes).
+    empty lam's 1.  _key_table sums these passes over the classes of a key
+    (_key_classes); a rooted key's one class runs the odd e | g with r's
+    factor and rho = 1, the lam whose lam^j are all binary, off which every
+    r_{lam^j} vanishes.
 
     On those lam, lam^j = nu^j for the binary shadow nu of lam, which
     replaces each part e * 2^a by e parts 2^a, so the pass runs over binary
@@ -622,22 +604,26 @@ def _fixed_point_table(lengths: list[int], parts: tuple, max_n: int) -> list[int
     return table
 
 
-def _unrooted_classes(pairs: tuple) -> list[tuple]:
-    """(lengths, scale, products) for each class of the lam that the
-    unrooted key of pairs reads (_key_reads): the odd lengths of its passes,
-    3 if they run over lam / 3, else 1, and (weight, parts) for each pass.
+def _key_classes(key: tuple) -> list[tuple]:
+    """(lengths, scale, products) for each class of the lam that a store
+    key reads (_key_reads): the odd lengths of its passes, 3 if they run
+    over lam / 3, else 1, and (weight, parts) for each pass.
 
-    u_{lam^j} vanishes unless lam^j is binary or 3 times binary, so each odd
-    part E of lam divides 3g, and rho_j = E / gcd(E, j), 1 or 3, is the same
-    for all of them: lam^j is binary if rho_j = 1, else 3 times binary.  The
-    E with one vector of rho are a class.  A part with rho_j = 3 takes
+    a_{lam^j} vanishes unless lam^j is binary, or 3 times binary for u, so
+    each odd part E of lam divides g, or 3g on unrooted trees, and
+    rho_j = E / gcd(E, j), 1 or 3, is the same for all of them: lam^j is
+    binary if rho_j = 1, else 3 times binary.  The E with one vector of rho
+    are a class; on rooted trees every rho is 1, so there is one, whose one
+    pass takes r's factors.  On unrooted trees a part with rho_j = 3 takes
     3 u_{3 nu^j} = 3^l(nu^j) r_{nu^j} (u_direct) for lam = 3 nu.  One with
     rho_j = 1 takes 3u = D + 3 half of lam^j, and the parts of one
     valuation, which read the same lam^j, expand their product binomially,
     with D and -half the passes of _d_factor and _half_factor."""
+    tag, pairs = key
+    unrooted = tag == "unrooted"
     g = math.gcd(*(h for _, h in pairs))
-    by_rho: dict = {}  # rho vector: the odd E | 3g with it
-    for e in _odd_lengths(3 * g):
+    by_rho: dict = {}  # rho vector: the odd E | g, or 3g, with it
+    for e in _odd_lengths(3 * g if unrooted else g):
         by_rho.setdefault(tuple(e // math.gcd(e, h) for _, h in pairs), []).append(e)
     classes = []
     for rhos, odd in by_rho.items():
@@ -646,35 +632,34 @@ def _unrooted_classes(pairs: tuple) -> list[tuple]:
         for b, c in Counter(b for (b, _), rho in zip(pairs, rhos) if rho == 1).items():
             products = [
                 (weight * math.comb(c, i) * (-3) ** i,
-                 parts + ((b, _d_factor, 1),) * (c - i) + ((b, _half_factor, 1),) * i)
-                for weight, parts in products for i in range(c + 1)
+                 parts + ((b, _d_factor if unrooted else _r_factor, 1),) * (c - i)
+                 + ((b, _half_factor, 1),) * i)
+                for weight, parts in products for i in range(c + 1 if unrooted else 1)
             ]
         classes.append(([e // scale for e in odd], scale, products))
     return classes
 
 
-def _unrooted_table(pairs: tuple, max_n: int) -> list[int]:
-    """Index n >= 2 holds n! times the sum over lam |- n of
-    prod over parts j of mu of u_{lam^j}, divided by z_lam, for the mu of
-    the unrooted key of pairs (_key_reads); indices 0 and 1 hold 0.
-
-    It sums the weighted passes of its classes (_unrooted_classes), which
-    make 3^p times the product.  From the empty lam's 1 a pass gives D_lam,
-    and -half_lam for every lam but (1), where it gives 2 against half's 1:
-    a part added at m = 1 has half's factor 2m - 2 = 0, so that entry
-    reaches no n >= 2, the only entries read.  A pass over nu |- m adds
-    n!/m! times its entry at n = 3m, so one exact division by 3^p ends the
-    table.
-    """
+def _key_table(key: tuple, max_n: int) -> list[int]:
+    """Index n holds n! times the sum over lam |- n of the product over the
+    parts j of mu of a_{lam^j} (r or u by the tree kind), divided by z_lam,
+    for the mu of a store key (_key_reads): the weighted passes of its
+    classes (_key_classes), summed.  A rooted key's one pass is that sum,
+    with the empty lam's 1 at index 0.  An unrooted key's make 3^p times
+    the product.  From the empty lam's 1 a pass gives D_lam, and -half_lam
+    for every lam but (1), where it gives 2 against half's 1: a part added
+    at m = 1 has half's factor 2m - 2 = 0, so that entry reaches no n >= 2,
+    and indices 0 and 1 hold 0.  A pass over nu |- m adds n!/m! times its
+    entry at n = 3m, so one exact division by 3^p ends the table."""
     sums = [0] * (max_n + 1)
-    for lengths, scale, products in _unrooted_classes(pairs):
+    for lengths, scale, products in _key_classes(key):
         for weight, parts in products:
             for m, x in enumerate(_fixed_point_table(lengths, parts, max_n // scale)):
                 sums[scale * m] += weight * math.perm(scale * m, scale * m - m) * x
-    table = [0] * (max_n + 1)
-    for n in range(2, max_n + 1):
-        table[n] = _divide(sums[n], 3 ** len(pairs), f"sum of u at {n}")
-    return table
+    if key[0] == "unrooted":
+        for n in range(max_n + 1):
+            sums[n] = _divide(sums[n], 3 ** len(key[1]), f"sum of u at {n}") if n >= 2 else 0
+    return sums
 
 
 # Bytes the pass store may hold, each table charged by _table_bytes.  One
@@ -699,9 +684,8 @@ def _table_bytes(table: tuple) -> int:
 
 
 class _PassStore:
-    """Every table that count_tables reads, one per store key (_key_reads):
-    (g, valuations) for a _fixed_point_table pass, ("unrooted", pairs) for
-    an _unrooted_table, which sums the passes of its classes.
+    """Every table that count_tables reads, one per store key (_key_reads),
+    (tree kind, pairs), each built by _key_table from its key alone.
     A pass depends on its key only, never on the family, and entry n is
     summed from smaller bases only, so a table built to the largest max_n
     asked for so far answers any smaller max_n by indexing; a larger max_n
@@ -715,15 +699,15 @@ class _PassStore:
         self.tables: dict = {}  # key: (max_n, table, bytes), least recent first
         self.held = 0
 
-    def get(self, key, max_n: int, build) -> tuple:
-        """The table of key to at least max_n, from build(max_n) if needed."""
+    def get(self, key, max_n: int) -> tuple:
+        """The table of key to at least max_n, from _key_table if needed."""
         entry = self.tables.pop(key, None)
         if entry is not None:
             if entry[0] >= max_n:
                 self.tables[key] = entry
                 return entry[1]
             self.held -= entry[2]
-        table = tuple(build(max_n))
+        table = tuple(_key_table(key, max_n))
         size = _table_bytes(table)
         if size <= PASS_STORE_BYTES:
             self.tables[key] = (max_n, table, size)
@@ -745,8 +729,7 @@ def count_tables(families: Iterable[TanglegramFamily], max_n: int) -> list[list[
     weighted by its number of elements, of the sum over lam |- n of
     n!/z_lam times the product over the parts j of mu of a_{lam^j}, where
     a is r or u.  Each mu reads the one table of its store key
-    (_key_reads) that holds that sum for each n: _fixed_point_table for
-    rooted trees, and _unrooted_table for unrooted ones.  So the weighted
+    (_key_reads) that holds that sum for each n (_key_table).  So the weighted
     total divides by |G| n! alone, for any G that a family gives through
     group_types, group_elements and group_order, on either tree kind.
 
@@ -764,7 +747,7 @@ def count_tables(families: Iterable[TanglegramFamily], max_n: int) -> list[list[
         readers.setdefault(key, Counter())[i] += families[i].group_elements(mu)
     totals = [[0] * (max_n + 1) for _ in families]
     for key, weights in readers.items():
-        sums = _passes.get(key, max_n, _key_pass(key, max_n)[0])
+        sums = _passes.get(key, max_n)
         for i, weight in weights.items():
             total = totals[i]
             for n in range(families[i].min_n, max_n + 1):

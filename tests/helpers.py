@@ -111,7 +111,9 @@ def cycle_type_weights(s, odd_lengths, max_n):
 
 
 def reference_fixed_point_table(g, valuations, max_n, leaf=False, rotated=False):
-    """species._fixed_point_table by the four-factor step: each (base, m)
+    """species._fixed_point_table of the odd e | g with r's factor on each
+    valuation of mu, the one pass of the rooted store key of mu, or with
+    rho = 3 on each if rotated, by the four-factor step: each (base, m)
     adds table[base] * C(top, base) * weights[m] * tails, the weights summed
     over every odd e | g at once."""
     odd_lengths = [e for e in range(1, g + 1, 2) if g % e == 0]
@@ -227,7 +229,8 @@ def reference_no_leaf_table(max_n):
 
 
 def reference_unrooted_table(valuations, max_n):
-    """species._unrooted_table by two passes: the four-factor pass rooted
+    """species._key_table of the unrooted store key of mu = 1^2 or (2), but
+    for its lam = 3 nu, by two passes: the four-factor pass rooted
     at a fixed leaf for the binary lam with a part 1 (u_lam is r of lam
     less that part, and so is each u_{lam^j}), whose factors carry 2n - 3
     per part of mu and the leaf's own -1, and the nine-sum no-leaf pass for

@@ -467,7 +467,7 @@ class TestGf:
     def test_non_integer_coefficient_is_internal_error(self, capsys, monkeypatch):
         # an unrooted pass whose entry at n = 2 is not a multiple of 2!
         monkeypatch.setattr(species, "_passes", species._PassStore())
-        monkeypatch.setattr(species, "_unrooted_table", lambda pairs, max_n: [0, 0, 1, 6])
+        monkeypatch.setattr(species, "_key_table", lambda key, max_n: [0, 0, 1, 6])
         code, out, err = run(capsys, "gf", "U", "--max-n", "3")
         assert code == 1 and out == ""
         assert err.startswith(

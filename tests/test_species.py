@@ -47,7 +47,7 @@ from tanglecount import (
     wedderburn_etherington,
     z,
 )
-from tanglecount import species
+from tanglecount import cli, species
 from tanglecount import u_direct
 from tanglecount.oracle import burnside_count
 
@@ -571,7 +571,9 @@ class TestCountTable:
         ids=lambda value: ",".join(map(str, value)) if isinstance(value, tuple) else None,
     )
     def test_pass_matches_four_factor_reference(self, mu, unrooted, rotated):
-        g, valuations = species._pass_key(Partition(mu))
+        # a rooted key's pairs are (2-adic valuation, g) for each part of mu
+        pairs = store_key(mu, False)[1]
+        g, valuations = pairs[0][1], tuple(b for b, _ in pairs)
         parts = len(valuations)
         n = 150 if len(mu) > 3 else 200
         if unrooted:
@@ -582,7 +584,7 @@ class TestCountTable:
                 rotated = reference_fixed_point_table(1, valuations, size // 3, rotated=True)
                 for m in range(1, size // 3 + 1):
                     expected[3 * m] += math.perm(3 * m, 2 * m) * rotated[m]
-                table = species._unrooted_table(store_key(mu, True)[1], size)
+                table = species._key_table(store_key(mu, True), size)
                 assert len(table) == len(expected), size
                 for m, x in enumerate(table):
                     assert x * (2 * m - 3) ** parts == expected[m], (size, m)
@@ -616,7 +618,7 @@ class TestCountTable:
             )
 
         for unrooted, fixed in ((False, r_closed_form), (True, u_direct)):
-            table = species._key_pass(store_key(mu, unrooted), N)[0](N)
+            table = species._key_table(store_key(mu, unrooted), N)
             # the empty lam, where r_closed_form gives 0, holds 1 in a rooted pass
             assert table[0] == (not unrooted)
             for n in range(1, N + 1):
@@ -671,20 +673,21 @@ class TestCountTable:
 
     def test_unrooted_families_share_the_unrooted_pass(self, monkeypatch):
         builds = []
-        build = species._unrooted_table
+        build = species._key_table
 
-        def counted(pairs, max_n):
-            builds.append((pairs, max_n))
-            return build(pairs, max_n)
+        def counted(key, max_n):
+            builds.append((key, max_n))
+            return build(key, max_n)
 
-        monkeypatch.setattr(species, "_unrooted_table", counted)
+        monkeypatch.setattr(species, "_key_table", counted)
         monkeypatch.setattr(species, "_passes", species._PassStore())
         ordered = count_table(UNROOTED_ORDERED, 30)
         # the pairs (2-adic valuation, gcd(3g, j)) of the parts j of mu
-        assert builds == [(((0, 1), (0, 1)), 30)]  # mu = 1^2 only, never (2)
+        square = ("unrooted", ((0, 1), (0, 1)))
+        assert builds == [(square, 30)]  # mu = 1^2 only, never (2)
         unordered = count_table(UNROOTED_UNORDERED, 30)
         assert count_table(UNROOTED_ORDERED, 20) == ordered[:21]
-        assert builds == [(((0, 1), (0, 1)), 30), (((1, 1),), 30)]
+        assert builds == [(square, 30), (("unrooted", ((1, 1),)), 30)]
         for n in range(2, 31):
             assert ordered[n] == unrooted_support_sum(n, False), n
             assert unordered[n] == unrooted_support_sum(n, True), n
@@ -823,7 +826,7 @@ class TestCountTable:
     )
     def test_pass_model_within_15_percent(self, family, max_n, measured):
         keys = dict.fromkeys(key for _, _, key in species._key_reads([family]))
-        model = sum(species._key_pass(key, max_n)[2] for key in keys)
+        model = sum(species._key_charge(key, max_n)[1] for key in keys)
         assert abs(model / measured - 1) <= 0.15
 
     # printing the whole table in decimal, timed on the same host
@@ -857,6 +860,26 @@ class TestCountTable:
         assert species.table_guard([chain(2)], 2214) is None
         assert "printing" in species.table_guard([ROOTED_ORDERED, chain(2)], 2203)
 
+    # the limits README gives, each admitted and the next n refused; they
+    # move only if the charge of a key moves
+    @pytest.mark.parametrize(
+        "families, limit",
+        [
+            ([unrooted_chain(10)], 904),
+            ([unrooted_chain(30)], 488),
+            ([unrooted_chain(99)], 224),
+            ([ROOTED_ORDERED, ROOTED_UNORDERED, chain(3), chain_unordered(3)], 1282),
+            ([*FOUR_KINDS, chain(3), chain_unordered(3)], 1121),
+            ([chain(1)], 2562),  # gf R
+            ([unrooted_chain(1)], 2271),  # gf U
+        ],
+        ids=["unrooted-chain-10", "unrooted-chain-30", "unrooted-chain-99", "four-rooted",
+             "six-families", "gf-R", "gf-U"],
+    )
+    def test_guard_admits_the_readme_limit(self, families, limit):
+        assert species.table_guard(families, limit) is None
+        assert "printing" in species.table_guard(families, limit + 1)
+
     @pytest.mark.parametrize("max_n", [8945, 10**30, 10**400])
     def test_guard_refuses_any_n_at_once(self, monkeypatch, max_n):
         # the step term of one pass alone passes the budget, so neither the
@@ -866,7 +889,7 @@ class TestCountTable:
 
         monkeypatch.setattr(species, "_print_seconds", forbidden)
         monkeypatch.setattr(species, "_key_reads", forbidden)
-        monkeypatch.setattr(species, "_key_pass", forbidden)
+        monkeypatch.setattr(species, "_key_charge", forbidden)
         assert "printing" in species.table_guard([ROOTED_ORDERED], max_n)
 
     def test_guard_lists_the_types_lazily(self, monkeypatch):
@@ -927,23 +950,24 @@ class TestPassStore:
         unrooted = {("unrooted", ((0, 1), (0, 1))), ("unrooted", ((1, 1),))}
         assert unrooted <= set(stored) and len(stored) > 10
         for key, (max_n, table, size) in stored.items():
-            # (g, valuations) or ("unrooted", pairs): no rotated flag
+            # (tree kind, pairs): no rotated flag
             assert len(key) == 2 and not any(isinstance(part, bool) for part in key)
+            assert key[0] in species.TREE_KINDS
             assert isinstance(table, tuple) and size == species._table_bytes(table)
             assert all(type(entry) is int for entry in table)
 
     @staticmethod
     def record_builds(monkeypatch):
         """The keys of the tables built from now on, through a new store."""
-        store = species._PassStore()
         builds = []
-        get = store.get
+        build = species._key_table
 
-        def counted(key, max_n, build):
-            return get(key, max_n, lambda top: builds.append(key) or build(top))
+        def counted(key, max_n):
+            builds.append(key)
+            return build(key, max_n)
 
-        monkeypatch.setattr(store, "get", counted)
-        monkeypatch.setattr(species, "_passes", store)
+        monkeypatch.setattr(species, "_key_table", counted)
+        monkeypatch.setattr(species, "_passes", species._PassStore())
         return builds
 
     def test_six_families_build_one_table_per_pass_key(self, monkeypatch):
@@ -953,8 +977,9 @@ class TestPassStore:
         # S_2 and S_3 of rooted trees, 1^2, (2), 1^3, (2, 1) and (3), and
         # the unrooted 1^2 and (2), each built once
         expected = [
+            ("rooted", ((0, 1), (0, 1))), ("rooted", ((0, 1), (0, 1), (0, 1))),
+            ("rooted", ((0, 1), (1, 1))), ("rooted", ((0, 3),)), ("rooted", ((1, 1),)),
             ("unrooted", ((0, 1), (0, 1))), ("unrooted", ((1, 1),)),
-            (1, (0, 0)), (1, (0, 0, 0)), (1, (0, 1)), (1, (1,)), (3, (0,)),
         ]
         assert sorted(builds, key=repr) == expected
         # one count_tables call builds each key once with a store that keeps
@@ -979,21 +1004,52 @@ class TestPassStore:
     )
     def test_guard_charges_the_keys_that_are_built(self, monkeypatch, families):
         charged = []
-        key_pass = species._key_pass
+        key_charge = species._key_charge
 
         def recorded(key, max_n):
             charged.append(key)
-            return key_pass(key, max_n)
+            return key_charge(key, max_n)
 
-        monkeypatch.setattr(species, "_key_pass", recorded)
+        monkeypatch.setattr(species, "_key_charge", recorded)
         assert species.table_guard(families, 30) is None
-        monkeypatch.setattr(species, "_key_pass", key_pass)
+        monkeypatch.setattr(species, "_key_charge", key_charge)
         builds = self.record_builds(monkeypatch)
         monkeypatch.setattr(species, "PASS_STORE_BYTES", 0)
         tables = count_tables(families, 30)
         # the same keys, each once, in the order they are first read
         assert charged == builds and len(set(builds)) == len(builds)
         assert tables == [count_table(fam, 30) for fam in families]
+
+    def test_a_stored_table_lists_no_classes(self, monkeypatch, capsys):
+        listed, charged = Counter(), []
+        key_classes, key_charge = species._key_classes, species._key_charge
+
+        def counted_classes(key):
+            listed[key] += 1
+            return key_classes(key)
+
+        def counted_charge(key, max_n):
+            charged.append(key)
+            return key_charge(key, max_n)
+
+        monkeypatch.setattr(species, "_key_classes", counted_classes)
+        monkeypatch.setattr(species, "_key_charge", counted_charge)
+        families = [UNROOTED_ORDERED, UNROOTED_UNORDERED]
+        argv = ["counts", "--family", "unrooted-ordered", "--family", "unrooted-unordered",
+                "--max-n", "22"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        # once when the guard charges the key, once when its table is built
+        keys = {key for _, _, key in species._key_reads(families)}
+        assert len(keys) == 2 and listed == dict.fromkeys(keys, 2)
+        assert sorted(charged, key=repr) == sorted(keys, key=repr)
+        listed.clear()
+        charged.clear()
+        # every later read to the same n or a smaller one hits the store
+        for max_n in (22, 10):
+            tables = count_tables(families, max_n)
+            assert [count(fam, max_n) for fam in families] == [t[max_n] for t in tables]
+        assert not listed and not charged
 
     def test_held_bytes_within_budget(self):
         count_table(chain_unordered(20), 100)
@@ -1020,16 +1076,17 @@ class TestPassStore:
         monkeypatch.setattr(species, "PASS_STORE_BYTES", 2 * size)
         builds = []
 
-        def build(max_n):
+        def build(key, max_n):
             builds.append(max_n)
             return [10**20] * (max_n + 1)
 
-        store.get("a", 2, build)
-        store.get("b", 2, build)
-        assert store.get("a", 1, build) == (10**20,) * 3  # a prefix, read by index
-        store.get("c", 2, build)  # drops b, the least recently used
+        monkeypatch.setattr(species, "_key_table", build)
+        store.get("a", 2)
+        store.get("b", 2)
+        assert store.get("a", 1) == (10**20,) * 3  # a prefix, read by index
+        store.get("c", 2)  # drops b, the least recently used
         assert list(store.tables) == ["a", "c"] and store.held == 2 * size
-        store.get("a", 3, build)  # rebuilt to 3, over budget with c
+        store.get("a", 3)  # rebuilt to 3, over budget with c
         assert list(store.tables) == ["a"]
         assert builds == [2, 2, 2, 3]
 
