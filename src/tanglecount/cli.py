@@ -2,11 +2,13 @@
 generating functions, and the oracle-vs-series verification report.
 
 One table, `_COMMANDS`, lists the subcommands and their arguments; `parse`
-reads argv from it as argparse would (`--opt value`, `--opt=value`, unique
-prefixes, a repeated `--family`) and `--help` prints it.  The module does
-not import argparse, which with gettext and locale cost about 5 ms of every
-run's start-up.  `main` calls the `cmd_<command>` function of this module
-that is bound when it runs.
+reads argv from it and `--help` prints it.  A command line in the plain form
+(each option by its full name, `--opt value` or `--opt=value`) is read by
+hand; argparse reads any other, and is imported only then: with the re,
+enum, gettext and locale modules it loads, the import took 11.8-19.1 ms
+under `python -S` and 2.3-3.6 ms with site (`-X importtime`, CPython 3.11.7
+on a 2-core Xeon vCPU).  `main` calls the `cmd_<command>` function of this
+module that is bound when it runs.
 
 Exit codes: 0 success or help, 1 verification failure, internal error, a
 write that failed (a full disk) or a stdout the reader closed, 2 usage
@@ -266,7 +268,7 @@ _OUTPUT = (str, None, "write to file instead of stdout")
 # default, help).  A name without "--" is a positional.  values is int, str
 # or a tuple of the choices.  default is the value an absent option takes,
 # _REQUIRED, or _REPEATED for a required option that may repeat and collects
-# its values in command-line order.  parse() and --help both read this table.
+# its values in command-line order.  _plain, _argparse and --help read it.
 _COMMANDS = {
     "counts": ("tables of counts per family", (
         ("--family", species.FAMILY_KINDS, _REPEATED, "family to count"),
@@ -290,7 +292,6 @@ _COMMANDS = {
         ("--max-n", int, 5, "largest leaf count (default 5)"),
     )),
 }
-_HELP = ("-h", "--help")
 
 
 def _word(name: str) -> str:
@@ -300,8 +301,8 @@ def _word(name: str) -> str:
 
 def _usage(command: str | None) -> str:
     if command is None:
-        return f"usage: {_PROG} [-h] {{{','.join(_COMMANDS)}}} ..."
-    words = [f"usage: {_PROG} {command} [-h]"]
+        return f"{_PROG} [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = [f"{_PROG} {command} [-h]"]
     for name, _, default, _ in _COMMANDS[command][1]:
         word = _word(name)
         words.append(word if default in (_REQUIRED, _REPEATED) else f"[{word}]")
@@ -328,153 +329,107 @@ def _help(command: str | None) -> str:
     table = "".join(
         "  " + word.ljust(width) + line.replace("\n", indent) + "\n" for word, line in rows
     )
-    return f"{_usage(command)}\n\n{about}\n\n{table}{footer}"
+    return f"usage: {_usage(command)}\n\n{about}\n\n{table}{footer}"
 
 
-def _print_help(command: str | None, name: str, inline: str | None):
-    # argparse reads "-hh" as -h twice, and any other value given to -h or
-    # --help as an error
-    if inline is not None and (name == "--help" or not inline or inline.strip("h")):
-        _fail(command, f"argument -h/--help: ignored explicit argument {inline!r}")
-    sys.stdout.write(_help(command))
-    sys.stdout.flush()  # here, so that main sees a closed stdout
-    raise SystemExit(0)
-
-
-def _fail(command: str | None, message: str):
-    prog = _PROG if command is None else f"{_PROG} {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _is_negative_number(token: str) -> bool:
-    # argparse's ^-\d+$|^-\d*\.\d+$: such a token is a value, not an option
-    whole, dot, fraction = token[1:].partition(".")
-    if dot:
-        return (not whole or whole.isdecimal()) and fraction.isdecimal()
-    return whole.isdecimal()
-
-
-def _option(
-    command: str | None, token: str, names: tuple[str, ...]
-) -> tuple[str, str | None] | None:
-    """Read token as argparse does: None for a value or positional, else
-    (the option it names, or "" for an unknown option; the value given
-    inline after "=", or after "-h", or None).  "--" is a positional here."""
-    if token[:1] != "-" or token in ("-", "--"):
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """argv read in the plain form: the command first, then each option by
+    its exact name with its value as the next token or after "=", and the
+    positionals in order.  None for any other argv (help, a prefix, "--", a
+    value that starts with "-") and for any error: _argparse reads those."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    head, eq, inline = token.partition("=")
-    if token in names:
-        return token, None
-    if eq and head in names:
-        return head, inline
-    if token[:2] == "--":
-        found = [name for name in names if name.startswith(head)]
-        if len(found) > 1:
-            _fail(command, f"ambiguous option: {token} could match {', '.join(found)}")
-        if found:
-            return found[0], inline if eq else None
-    elif token[:2] in names:
-        return token[:2], token[2:]
-    if _is_negative_number(token) or " " in token:
-        return None
-    return "", None
-
-
-def _value(command: str, name: str, values, token: str):
-    if values is int:
-        try:
-            return int(token)
-        except ValueError:
-            _fail(command, f"argument {name}: invalid int value: {token!r}")
-    if values is not str and token not in values:
-        choices = ", ".join(map(repr, values))
-        _fail(command, f"argument {name}: invalid choice: {token!r} (choose from {choices})")
-    return token
-
-
-def _parse_command(command: str, tokens: list[str], extras: list[str]) -> SimpleNamespace:
+    command, tokens = argv[0], iter(argv[1:])
     specs = {spec[0]: spec for spec in _COMMANDS[command][1]}
     positionals = [name for name in specs if name[0] != "-"]
-    names = (*_HELP, *(name for name in specs if name[0] == "-"))
-    # no token after the first "--" is an option; argparse reads every token
-    # before it acts on any, so an ambiguous prefix fails even after a -h
-    cut = tokens.index("--") if "--" in tokens else len(tokens)
-    read = [_option(command, token, names) for token in tokens[:cut]]
-    read += [None] * (len(tokens) - cut)
     given: dict[str, object] = {}
-    taken = None  # the index of the token the last positional took
-    i = 0
-    while i < len(tokens):
-        token, option = tokens[i], read[i]
-        i += 1
-        if option is None:
-            if i - 1 == cut:
-                # argparse drops this "--" only beside a positional's token
-                if taken != cut - 1 and not (positionals and i < len(tokens)):
-                    extras.append(token)
-            elif positionals:
-                name = positionals.pop(0)
-                given[name] = _value(command, name, specs[name][1], token)
-                taken = i - 1
-            else:
-                extras.append(token)
-            continue
-        name, inline = option
-        if not name:
-            extras.append(token)
-            continue
-        if name in _HELP:
-            _print_help(command, name, inline)
-        if inline is None:
-            if i >= cut or read[i] is not None:
-                _fail(command, f"argument {name}: expected one argument")
-            inline = tokens[i]
-            i += 1
+    for token in tokens:
+        if token[:2] == "--":
+            name, eq, value = token.partition("=")
+            if not eq:
+                value = next(tokens, "-")  # none left: refused as "-" is
+        elif positionals and token[:1] != "-":
+            name, value = positionals.pop(0), token
+        else:
+            return None
+        if name not in specs or value[:1] == "-":
+            return None
         _, values, default, _ = specs[name]
-        value = _value(command, name, values, inline)
+        if values is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif values is not str and value not in values:
+            return None
         if default is _REPEATED:
             given.setdefault(name, []).append(value)
         else:
             given[name] = value
-    missing = [
-        name for name, (_, _, default, _) in specs.items()
-        if default in (_REQUIRED, _REPEATED) and name not in given
-    ]
-    if missing:
-        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    for name, _, default, _ in specs.values():
+        if default in (_REQUIRED, _REPEATED) and name not in given:
+            return None
     return SimpleNamespace(command=command, **{
         name.lstrip("-").replace("-", "_"): given.get(name, default)
         for name, (_, _, default, _) in specs.items()
     })
 
 
+def _argparse(argv: list[str]) -> SimpleNamespace:
+    """argv read by argparse, from parsers built from _COMMANDS: the usage
+    line and the help are this module's, every error message argparse's."""
+    import argparse  # here, so that a plain command line never loads it
+
+    class Help(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            sys.stdout.write(_help(self.const))
+            sys.stdout.flush()  # here, so that main sees a closed stdout
+            raise SystemExit(0)
+
+    class Value(argparse.Action):
+        # "store", or "append" when const is set.  argparse before 3.13 hands
+        # on the value of --opt=-- as [], where 3.13 reads it as "--"
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                values = parser._get_value(self, "--")
+                parser._check_value(self, values)
+            if self.const:
+                values = [*(getattr(namespace, self.dest) or ()), values]
+            setattr(namespace, self.dest, values)
+
+    def add_help(parser: argparse.ArgumentParser, command: str | None) -> None:
+        parser.add_argument(
+            "-h", "--help", action=Help, nargs=0, const=command, default=argparse.SUPPRESS
+        )
+
+    top = argparse.ArgumentParser(prog=_PROG, usage=_usage(None), add_help=False)
+    add_help(top, None)
+    # prog: each subparser's is "tanglecount COMMAND", not built from the usage
+    subparsers = top.add_subparsers(prog=_PROG, dest="command", required=True)
+    for command, (_, arguments) in _COMMANDS.items():
+        parser = subparsers.add_parser(command, usage=_usage(command), add_help=False)
+        add_help(parser, command)
+        for name, values, default, _ in arguments:
+            required = default in (_REQUIRED, _REPEATED)
+            options = {"type": values} if isinstance(values, type) else {"choices": values}
+            if name[0] == "-":
+                options["required"] = required  # argparse refuses it for a positional
+            parser.add_argument(
+                name, action=Value, const=default is _REPEATED,
+                default=None if required else default, **options,
+            )
+    return SimpleNamespace(**vars(top.parse_args(argv)))
+
+
 def parse(argv: list[str]) -> SimpleNamespace:
-    """The subcommand and its options from argv, read as argparse read them:
+    """The subcommand and its options from argv, as argparse reads them:
     --opt value or --opt=value, any unique prefix of an option, options and
     positionals in any order, and "--" to end the options.  A bad command
     line prints the usage and an error to stderr and exits 2; -h or --help
     prints the help and exits 0.  The result has `command` and one attribute
-    per argument, named like it with "-" as "_"."""
-    extras: list[str] = []
-    for i, token in enumerate(argv):
-        option = _option(None, token, _HELP)
-        if option is None:
-            if token not in _COMMANDS:
-                choices = ", ".join(map(repr, _COMMANDS))
-                _fail(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
-            args = _parse_command(token, argv[i + 1:], extras)
-            break
-        name, inline = option
-        if not name:
-            extras.append(token)
-        else:
-            _print_help(None, name, inline)
-    else:
-        _fail(None, "the following arguments are required: command")
-    if extras:
-        _fail(None, "unrecognized arguments: " + " ".join(extras))
-    return args
+    per argument, named like it with "-" as "_".  _plain reads the plain
+    form that scripts and examples use, and _argparse every other argv."""
+    return _plain(argv) or _argparse(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

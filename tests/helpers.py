@@ -3,11 +3,13 @@ the binary partitions that the reference sums run over, a reference
 binary-partition pass that sums four-factor products, a reference
 no-leaf pass that carries the dissymmetry terms (S, r, half), the
 unrooted route that the two make together, Otter's dissymmetry step on the
-unlabeled tree counts, and the argparse parser that the command line's own
-parser must read argv like."""
+unlabeled tree counts, the argparse parser that the command line's own
+parser must read argv like (and the argv it misreads), and a seeded corpus
+of argv to read."""
 
 import argparse
 import math
+import random
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
@@ -268,7 +270,9 @@ def unrooted_from_rooted(rooted: list[int]) -> list[int]:
 
 def reference_parser() -> argparse.ArgumentParser:
     """The argparse parser the command line had, with the same subcommands,
-    options, choices and defaults, as the reference for `cli.parse`."""
+    options, choices and defaults, as the reference for `cli.parse`.  It is
+    listed here by hand, not built from `cli._COMMANDS` as `cli._argparse`
+    is, so that a slip in that table shows as a difference."""
     formats = ["bfile", "csv", "json", "table"]
     parser = argparse.ArgumentParser(prog="tanglecount")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -295,3 +299,67 @@ def reference_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=5)
 
     return parser
+
+
+def _drops_dashes() -> bool:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--x")
+    return parser.parse_args(["--x=--"]).x != "--"
+
+
+# argparse before 3.13 reads the value of --opt=-- as [], where 3.13 reads
+# "--" as the command line always did; the reference shares the defect
+_ARGPARSE_DROPS_DASHES = _drops_dashes()
+
+
+def reference_misreads(argv: list[str]) -> bool:
+    """Whether this interpreter's argparse, and so the reference, may read
+    argv wrongly: it holds a token --opt=-- and argparse drops its "--"."""
+    return _ARGPARSE_DROPS_DASHES and any(
+        token[:1] == "-" and token.endswith("=--") for token in argv
+    )
+
+
+# tokens that argparse reads in its own ways: a negative number, a lone "-",
+# the empty string, one with a space, "--", help in its odd forms, a bad int
+# and a bad choice
+ODD_TOKENS = ("-1", "-", "", "a b", "--", "-h", "-hh", "--help=x", "x", "wibble")
+
+
+def argv_corpus(commands, size: int, seed: int) -> list[list[str]]:
+    """size seeded argv for the command line whose subcommands commands
+    lists as `cli._COMMANDS` does: each argument mostly present, by its name
+    or a prefix of it, with its value as the next token or after "=", the
+    value sometimes one of ODD_TOKENS, an argument sometimes repeated, the
+    command sometimes left out, and an odd token sometimes put anywhere,
+    before the command too."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(size):
+        command = rng.choice(list(commands))
+        arguments = list(commands[command][1])
+        rng.shuffle(arguments)
+        if arguments and rng.random() < 0.2:
+            arguments.append(rng.choice(arguments))
+        argv = [command]
+        for name, values, _, _ in arguments:
+            if rng.random() < 0.1:
+                continue
+            if isinstance(values, tuple):
+                value = rng.choice(values)
+            else:
+                value = str(rng.randrange(8)) if values is int else "out.txt"
+            if rng.random() < 0.2:
+                value = rng.choice(ODD_TOKENS)
+            if name[0] != "-":
+                argv.append(value)
+                continue
+            if rng.random() < 0.15:
+                name = name[: rng.randrange(3, len(name) + 1)]
+            argv += [f"{name}={value}"] if rng.random() < 0.3 else [name, value]
+        if rng.random() < 0.05:
+            del argv[0]
+        if rng.random() < 0.2:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(ODD_TOKENS))
+        corpus.append(argv)
+    return corpus

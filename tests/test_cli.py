@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import reference_parser
+from helpers import argv_corpus, reference_misreads, reference_parser
 from tanglecount import Partition, cli, oracle, partitions_of, species
 from tanglecount.cli import main
 from tanglecount.cycle_index import DegreeOutOfRange
@@ -630,6 +630,9 @@ PARSER_CASES = [
     ["counts", "--family", "--max-n", "3"],
     ["zindex", "R", "--max-degree", "3", "--output", "--", "x"],
     ["--help=x"],
+    # "--" at the end of a command line with no command
+    ["--"],
+    ["--k", "--family", "--"],
     # help, at top level and after each subcommand
     ["--help"],
     ["-h"],
@@ -655,16 +658,60 @@ class TestCommandLine:
     )
     def test_parse_reads_argv_like_argparse(self, capsys, argv):
         expected = parsed(reference_parser().parse_args, argv)
-        capsys.readouterr()
+        expected_err = capsys.readouterr().err
         got = parsed(cli.parse, argv)
         out, err = capsys.readouterr()
         assert got == expected
         if got == 2:
             usage, error = err.splitlines()
             assert usage.startswith("usage: tanglecount")
-            assert ": error: " in error
+            assert error == expected_err.splitlines()[-1]
         elif got == 0:
             assert out.startswith("usage: tanglecount") and err == ""
+
+    def test_plain_reader_agrees_with_argparse(self, capsys):
+        # where the plain reader reads argv, argparse reads it the same; and
+        # parse, by either reader, reads every argv as the reference does
+        reference = reference_parser()
+        plain = 0
+        for argv in argv_corpus(cli._COMMANDS, 1000, 33):
+            args = cli._plain(argv)
+            if args is not None:
+                plain += 1
+                assert vars(args) == vars(cli._argparse(argv)), argv
+            if reference_misreads(argv):
+                continue  # pinned by test_an_inline_double_dash_is_the_value
+            expected = parsed(reference.parse_args, argv)
+            expected_err = capsys.readouterr().err
+            got = parsed(cli.parse, argv)
+            err = capsys.readouterr().err
+            assert got == expected, argv
+            if got == 2:
+                assert err.splitlines()[-1] == expected_err.splitlines()[-1], argv
+        assert plain >= 200  # the corpus reaches the plain reader
+
+    # --opt=-- gives the value "--", as the command line always read it and
+    # argparse 3.13 reads it; older argparse reads [], which no cmd_* takes
+    @pytest.mark.parametrize(
+        "token, name",
+        [("--output=--", None), ("--out=--", None), ("--format=--", "--format"),
+         ("--max-n=--", "--max-n"), ("--family=--", "--family"), ("--k=--", "--k")],
+        ids=["output", "out", "format", "max-n", "family", "k"],
+    )
+    def test_an_inline_double_dash_is_the_value(self, capsys, monkeypatch, tmp_path, token, name):
+        monkeypatch.chdir(tmp_path)
+        argv = ["counts", "--family", "chain", "--max-n", "3", token]
+        if name is None:
+            assert cli.parse(argv).output == "--"
+            assert run(capsys, *argv) == (0, "", "")
+            assert (tmp_path / "--").read_text().startswith("family\tn\tcount\n")
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith(f"tanglecount counts: error: argument {name}: invalid ")
+        assert "'--'" in error
 
     @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
     def test_help_lists_every_argument(self, capsys, command):
@@ -772,7 +819,8 @@ class TestCommandLine:
 
 
 # Runs in a fresh interpreter: diffs sys.modules around importing the CLI and
-# around a counts run, then uses the series names that load on first use.
+# around a counts run, then uses the series names that load on first use, and
+# last reads a command line with prefixes, which loads argparse.
 _START_UP_SCRIPT = """
 import io, sys
 from contextlib import redirect_stdout
@@ -802,8 +850,18 @@ with redirect_stdout(io.StringIO()) as verify_out:
     verify = tanglecount.cli.main(["verify", "--max-n", "4"])
 with redirect_stdout(io.StringIO()) as zindex_out:
     zindex = tanglecount.cli.main(["zindex", "R", "--max-degree", "5"])
+
+# a command line not in the plain form is argparse's to read
+outs, loaded = [], []
+for argv in (["--family", "chain", "--max-n", "3"], ["--fam", "chain", "--max", "3"]):
+    loaded.append("argparse" in sys.modules)
+    with redirect_stdout(io.StringIO()) as out:
+        code = tanglecount.cli.main(["counts", *argv])
+    assert code == 0, code
+    outs.append(out.getvalue())
+loaded.append("argparse" in sys.modules)
 print(repr((imported, counted, gf, verify, verify_out.getvalue(), zindex,
-            zindex_out.getvalue())))
+            zindex_out.getvalue(), outs, loaded)))
 """
 
 
@@ -832,9 +890,8 @@ class TestStartUp:
             [sys.executable, "-S", "-c", _START_UP_SCRIPT],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        imported, counted, gf, verify, verify_out, zindex, zindex_out = ast.literal_eval(
-            done.stdout
-        )
+        (imported, counted, gf, verify, verify_out, zindex, zindex_out, outs,
+         loaded) = ast.literal_eval(done.stdout)
         assert "tanglecount.cli" in imported
         for unused in ("dataclasses", "inspect", "fractions", "decimal",
                        "tanglecount.cycle_index", "tanglecount.oracle",
@@ -847,6 +904,9 @@ class TestStartUp:
         assert verify_out.splitlines() == [f"PASS {name}" for name in VERIFY_CHECKS]
         assert zindex == 0
         assert zindex_out == species.binary_tree_cycle_index(5).render() + "\n"
+        # prefixes read as the full names do, and load argparse, only then
+        assert outs[0].startswith("family\tn\tcount\n") and outs[1] == outs[0]
+        assert loaded == [False, False, True]
 
     def test_zindex_and_gf_solve_nothing(self):
         src = Path(__file__).resolve().parents[1] / "src"
