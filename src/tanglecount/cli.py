@@ -4,11 +4,12 @@ generating functions, and the oracle-vs-series verification report.
 One table, `_COMMANDS`, lists the subcommands and their arguments; `parse`
 reads argv from it and `--help` prints it.  A command line in the plain form
 (each option by its full name, `--opt value` or `--opt=value`) is read by
-hand; argparse reads any other, and is imported only then: with the re,
-enum, gettext and locale modules it loads, the import took 11.8-19.1 ms
-under `python -S` and 2.3-3.6 ms with site (`-X importtime`, CPython 3.11.7
-on a 2-core Xeon vCPU).  `main` calls the `cmd_<command>` function of this
-module that is bound when it runs.
+hand; argparse reads any other, and is imported only then.  Argparse alone
+was slower in ten of ten alternating benchmark pairs (perfbench medians,
+CPython 3.11.7, 2-core Xeon vCPU): the rooted-table workload took 71 ms
+(58 ms of set-up) against 65 (53), and `verify --max-n 6` 82 ms (59) against
+74 (52) at 14.77 MB peak RSS against 14.45.  `main` calls the
+`cmd_<command>` function of this module that is bound when it runs.
 
 Exit codes: 0 success or help, 1 verification failure, internal error, a
 write that failed (a full disk) or a stdout the reader closed, 2 usage
@@ -185,15 +186,13 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
     # enumeration sizes against the double-factorial counts: the identity
     # type 1^n fixes every enumerated tree, so its entry counts them
-    def n_trees(n: int, unrooted: bool) -> int:
-        return oracle.fixed_counts(n, unrooted)[Partition((1,) * n)]
-
     for unrooted in (False, True):
         # an unrooted tree on n leaves is a rooted one on n - 1, hung from leaf n
         sizes = range(1 + unrooted, max_n + 1)
         if sizes:
             ok = all(
-                n_trees(n, unrooted) == species.labeled_counts(n - unrooted)[0]
+                oracle.fixed_counts(n, unrooted)[Partition((1,) * n)]
+                == species.labeled_counts(n - unrooted)[0]
                 for n in sizes
             )
             report(f"{species.TREE_KINDS[unrooted]}-enumeration-count", ok)

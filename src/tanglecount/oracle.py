@@ -21,9 +21,10 @@ six sets), and there are 10395 rooted trees at n = 7.
 The fixed-point counts depend only on the cycle type of a permutation,
 so `fixed_counts(n, unrooted)` enumerates the trees once and counts the
 trees fixed by one representative of each type.  The table (p(n)
-integers, never the trees) is cached per (n, tree kind), and every
-Burnside sum and `verify` check reads it; a power sigma^m is looked up
-by its cycle type, since conjugate permutations fix equally many trees.
+integers, never the trees) is cached once per (n, tree kind) and handed
+out read-only, so every Burnside sum and `verify` check reads the one
+cached mapping in place; a power sigma^m is looked up by its cycle type,
+since conjugate permutations fix equally many trees.
 
 Everything here is desk-scale, with one fixed guard: the enumerators,
 and so `fixed_counts` and `burnside_count`, raise SizeLimitExceeded for
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from types import MappingProxyType
 
 from .partitions import Partition, partitions_of, power_type, z
 from .species import TanglegramFamily, _divide
@@ -142,27 +144,20 @@ def fix_count(trees: list[Tree], sigma: tuple[int, ...]) -> int:
 # integers, the trees themselves are dropped once counted.  The enumerators
 # raise past the guard, and lru_cache caches no exception.
 @lru_cache(maxsize=2 * (ORACLE_LIMIT + 1))
-def _fixed_table(n: int, unrooted: bool) -> tuple[tuple[Partition, int], ...]:
-    trees = enumerate_unrooted(n) if unrooted else enumerate_rooted(n)
-    return tuple(
-        (lam, fix_count(trees, permutation_of_type(lam, n))) for lam in partitions_of(n)
-    )
+def fixed_counts(n: int, unrooted: bool) -> MappingProxyType[Partition, int]:
+    """Map each cycle type lam |- n, in partitions_of(n) order, to the
+    number of enumerated labeled trees (unrooted or rooted) fixed by a
+    permutation of type lam.
 
-
-def fixed_counts(n: int, unrooted: bool) -> dict[Partition, int]:
-    """Map each cycle type lam |- n to the number of enumerated labeled
-    trees (unrooted or rooted) fixed by a permutation of type lam.
-
-    The trees are enumerated once per (n, kind) and the counts cached;
-    the identity type 1^n fixes every tree, so its entry is the number
-    of trees.  The dict is the caller's own copy.  Raises
-    SizeLimitExceeded for n > ORACLE_LIMIT.
+    The trees are enumerated once per (n, kind), and the one cached table
+    is shared read-only by every caller; the identity type 1^n fixes every
+    tree, so its entry is the number of trees.  Raises SizeLimitExceeded
+    for n > ORACLE_LIMIT.
     """
-    return dict(_fixed_table(n, unrooted))
-
-
-fixed_counts.cache_clear = _fixed_table.cache_clear  # type: ignore[attr-defined]
-fixed_counts.cache_info = _fixed_table.cache_info  # type: ignore[attr-defined]
+    trees = enumerate_unrooted(n) if unrooted else enumerate_rooted(n)
+    return MappingProxyType(
+        {lam: fix_count(trees, permutation_of_type(lam, n)) for lam in partitions_of(n)}
+    )
 
 
 def burnside_count(family: TanglegramFamily, n: int) -> int:
@@ -182,12 +177,11 @@ def burnside_count(family: TanglegramFamily, n: int) -> int:
         raise ValueError(f"{family.label} requires n >= {family.min_n}, got {n}")
     fixes = fixed_counts(n, family.unrooted)
     n_fact = math.factorial(n)
-    classes = [(n_fact // z(lam), lam) for lam in partitions_of(n)]
     total = 0
     for mu in family.group_types():
         total += family.group_elements(mu) * sum(
-            size * math.prod(fixes[power_type(lam, m)] for m in mu.parts)
-            for size, lam in classes
+            n_fact // z(lam) * math.prod(fixes[power_type(lam, m)] for m in mu.parts)
+            for lam in fixes
         )
     order = n_fact * family.group_order
     return _divide(total, order, f"Burnside sum for {family.label} at n = {n}")

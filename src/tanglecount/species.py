@@ -228,22 +228,22 @@ _SERIES_CACHE = 4
 @lru_cache(maxsize=_SERIES_CACHE)
 def binary_tree_cycle_index(N: int) -> CycleIndexSeries:
     """The unique series Z with zero constant term satisfying
-    Z = p_1 + h_2[Z] through degree N, by successive substitution.
-
-    Each pass stabilizes one more degree, so the truncation degree grows
-    with the pass; this keeps every intermediate product within the part
-    of the series that is already exact.
+    Z = p_1 + h_2[Z] through degree N, solved one degree at a time: as
+    h_2[Z] = (Z^2 + p_2[Z]) / 2, the degree-m part Z_m of Z, m >= 2, is
+    the sum of Z_a Z_(m-a) over a < m - a, plus h_2[Z_(m/2)] for even m.
     """
     # here, not at module level, so that counting never loads the series
-    from .cycle_index import CycleIndexSeries, h_series, p1
+    from .cycle_index import h_series, p1, zero_series
 
     if N < 1:
         raise ValueError("N must be >= 1")
-    zr = p1(1)
+    pieces = [zero_series(N), p1(N)]  # pieces[m] is Z_m
     for m in range(2, N + 1):
-        stable = CycleIndexSeries(zr.terms, m)  # degrees < m already exact
-        zr = p1(m) + h_series(2, m).plethysm(stable)
-    return zr
+        piece = h_series(2, N).plethysm(pieces[m // 2]) if m % 2 == 0 else pieces[0]
+        for a in range(1, (m + 1) // 2):
+            piece = piece + pieces[a] * pieces[m - a]
+        pieces.append(piece)
+    return sum(pieces[1:], pieces[0])
 
 
 @lru_cache(maxsize=_SERIES_CACHE)

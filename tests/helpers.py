@@ -1,11 +1,11 @@
 """Shared builders for the tests: series, random partitions, permutations,
-the binary partitions that the reference sums run over, a reference
-binary-partition pass that sums four-factor products, a reference
-no-leaf pass that carries the dissymmetry terms (S, r, half), the
-unrooted route that the two make together, Otter's dissymmetry step on the
-unlabeled tree counts, the argparse parser that the command line's own
-parser must read argv like (and the argv it misreads), and a seeded corpus
-of argv to read."""
+the binary partitions that the reference sums run over, Z_R by successive
+substitution, a reference binary-partition pass that sums four-factor
+products, a reference no-leaf pass that carries the dissymmetry terms
+(S, r, half), the unrooted route that the two make together, Otter's
+dissymmetry step on the unlabeled tree counts, the argparse parser that the
+command line's own parser must read argv like (and the argv it misreads),
+and a seeded corpus of argv to read."""
 
 import argparse
 import math
@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
-from tanglecount import CycleIndexSeries, Partition, species
+from tanglecount import CycleIndexSeries, Partition, h_series, p1, species
 
 
 def series(degree, *terms):
@@ -22,6 +22,17 @@ def series(degree, *terms):
     return CycleIndexSeries(
         {Partition(parts): Fraction(num, den) for parts, num, den in terms}, degree
     )
+
+
+def reference_rooted_series(N: int) -> CycleIndexSeries:
+    """Z = p_1 + h_2[Z] through degree N by successive substitution: each
+    pass makes one more degree exact, and is truncated there, so that no
+    product reads a degree that is not exact yet."""
+    zr = p1(1)
+    for m in range(2, N + 1):
+        stable = CycleIndexSeries(zr.terms, m)  # degrees < m already exact
+        zr = p1(m) + h_series(2, m).plethysm(stable)
+    return zr
 
 
 def random_partition(rng, n):

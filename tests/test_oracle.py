@@ -375,8 +375,10 @@ class TestFixedCounts:
     def test_cached_once_per_size_and_kind(self):
         fixed_counts.cache_clear()
         first = fixed_counts(5, True)
-        first[Partition((5,))] = -1  # the caller's copy, not the cache
-        assert fixed_counts(5, True)[Partition((5,))] == fix_count(
+        with pytest.raises(TypeError):
+            first[Partition((5,))] = -1  # every caller shares the one table
+        assert fixed_counts(5, True) is first
+        assert first[Partition((5,))] == fix_count(
             enumerate_unrooted(5), permutation_of_type(Partition((5,)), 5)
         )
         info = fixed_counts.cache_info()

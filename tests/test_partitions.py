@@ -191,7 +191,7 @@ class TestZ:
         assert set(caches) == {
             "species.binary_tree_cycle_index",
             "species.unrooted_tree_cycle_index",
-            "oracle._fixed_table",
+            "oracle.fixed_counts",
         }
         assert all(maxsize is not None for maxsize in caches.values()), caches
         # the fourth cache, the pass store, is held to a byte budget

@@ -14,6 +14,7 @@ from helpers import (
     cycle_type,
     from_vector,
     reference_fixed_point_table,
+    reference_rooted_series,
     reference_u,
     reference_unrooted_table,
     series,
@@ -145,6 +146,10 @@ class TestBinaryTreeCycleIndex:
         with pytest.raises(ValueError):
             binary_tree_cycle_index(0)
 
+    def test_equals_successive_substitution(self):
+        for N in range(1, 13):
+            assert binary_tree_cycle_index(N) == reference_rooted_series(N), N
+
 
 class TestUnrootedTreeCycleIndex:
     def test_golden_degrees(self):
@@ -184,6 +189,10 @@ class TestClosedFormCycleIndex:
     def test_equals_the_solved_series_through_degree_20(self, unrooted, solved):
         for N in range(1 + unrooted, 21):
             assert species.closed_form_cycle_index(N, unrooted) == solved[N, unrooted], N
+
+    def test_equals_the_solved_rooted_series_at_degree_30(self):
+        # the unrooted series stays at 20: its cost is the h_3 plethysm
+        assert species.closed_form_cycle_index(30, False) == binary_tree_cycle_index(30)
 
     @pytest.mark.parametrize("unrooted", [False, True], ids=species.TREE_KINDS)
     def test_reads_the_support_without_scanning_every_partition(self, unrooted, monkeypatch):
